@@ -4,20 +4,22 @@
 //! of 3,652 points; the size of the sketch database is reported as the basic
 //! window size grows, for TSUBASA and for the DFT approximation.
 //!
-//! Expected shape (paper): both algorithms store records of the same size per
-//! basic window, so their space overhead is identical and shrinks inversely
-//! with B (fewer windows to store).
+//! Expected shape (paper): both algorithms store the same amount per basic
+//! window (here: one `f64` per pair — a correlation or an Equation 3
+//! estimate — plus three per series), so their space overhead is identical
+//! and shrinks inversely with B (fewer windows to store).
 
-use tsubasa_bench::{scaled, Table};
+use tsubasa_bench::{scaled, workers, Table};
 use tsubasa_data::prelude::*;
-use tsubasa_parallel::ParallelEngine;
-use tsubasa_storage::{
-    DiskSketchStore, PairWindowRecord, SeriesWindowRecord, SketchStore, StoreLayout,
-};
+use tsubasa_parallel::{ParallelConfig, ParallelEngine, SketchMethod};
+use tsubasa_storage::{PileWriter, SketchPile, StoreLayout};
 
+/// Size of a compacted pile: a 64-byte file header, then one segment (a
+/// 64-byte header plus window-major `f64` payload) for the series
+/// statistics and one for the pair table.
 fn analytic_bytes(layout: StoreLayout) -> u64 {
-    (layout.series_records() * SeriesWindowRecord::SIZE
-        + layout.pair_records() * PairWindowRecord::SIZE) as u64
+    let values = layout.n_windows * (3 * layout.n_series + layout.n_pairs());
+    (3 * 64 + values * 8) as u64
 }
 
 fn main() {
@@ -25,7 +27,7 @@ fn main() {
     let points = 3_652;
     println!("Figure 6d: sketch space overhead | {n} series x {points} points");
 
-    let mut table = Table::new(&["B", "windows", "TSUBASA store (MiB)", "DFT store (MiB)"]);
+    let mut table = Table::new(&["B", "windows", "TSUBASA pile (MiB)", "DFT pile (MiB)"]);
     let mut json_rows = Vec::new();
 
     for basic_window in [60usize, 120, 240, 480, 960] {
@@ -34,9 +36,9 @@ fn main() {
             n_windows: points / basic_window,
             basic_window,
         };
-        // Both algorithms store one fixed-size record per pair per basic
-        // window plus two statistics per series per basic window, so the
-        // formula is the same for both (the paper's observation).
+        // Both algorithms store one value per pair per basic window plus
+        // three statistics per series per basic window, so the formula is
+        // the same for both (the paper's observation).
         let bytes = analytic_bytes(layout);
         let mib = bytes as f64 / (1024.0 * 1024.0);
         table.row(vec![
@@ -53,30 +55,44 @@ fn main() {
         }));
     }
 
-    // Validate the analytic formula against an actual on-disk store at a
-    // small scale (the big layouts above would needlessly allocate gigabytes
-    // of sparse files).
+    // Validate the analytic formula against actual compacted piles of both
+    // sketch methods at a small scale (the big layouts above would needlessly
+    // write gigabytes).
     let small = generate_berkeley_like(&BerkeleyLikeConfig {
         cells: 40,
         points: 720,
         ..BerkeleyLikeConfig::default()
     })
     .unwrap();
-    let layout = ParallelEngine::layout_for(&small, 120).unwrap();
-    let dir = std::env::temp_dir().join(format!("tsubasa-fig6d-{}", std::process::id()));
-    let store = DiskSketchStore::create(&dir, layout).unwrap();
-    let actual = store.space_bytes();
+    let basic_window = 120;
+    let layout = ParallelEngine::layout_for(&small, basic_window).unwrap();
     let predicted = analytic_bytes(layout);
-    println!(
-        "validation on a 40-series store: predicted {predicted} bytes, on-disk {actual} bytes"
-    );
-    assert_eq!(
-        actual, predicted,
-        "analytic space formula must match the real store"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    for (label, sketch_method) in [
+        ("TSUBASA", SketchMethod::Exact),
+        ("DFT", SketchMethod::Dft { coefficients: 90 }),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("tsubasa-fig6d-{}-{label}.pile", std::process::id()));
+        let engine = ParallelEngine::new(ParallelConfig {
+            workers: workers(),
+            sketch_method,
+            ..ParallelConfig::default()
+        });
+        let writer = PileWriter::create(&path, small.len(), basic_window).unwrap();
+        engine.sketch_to_pile(&small, basic_window, writer).unwrap();
+        SketchPile::compact(&path).unwrap();
+        let actual = SketchPile::open(&path).unwrap().space_bytes();
+        println!(
+            "validation on a 40-series {label} pile: predicted {predicted} bytes, on-disk {actual} bytes"
+        );
+        assert_eq!(
+            actual, predicted,
+            "analytic space formula must match the real pile"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 
-    table.print("Figure 6d: sketch-store size vs basic-window size");
+    table.print("Figure 6d: sketch-pile size vs basic-window size");
     tsubasa_bench::write_json(
         "fig6d_space",
         &serde_json::json!({

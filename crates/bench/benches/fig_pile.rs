@@ -1,38 +1,37 @@
-//! Pile benchmark — the memory-mapped append-only sketch pile vs the
-//! record store.
+//! Pile benchmark — the memory-mapped append-only sketch pile.
 //!
-//! The record store serializes one fixed-size record per `(pair, window)`
-//! and the query path decodes them back into `PairWindowRecord` vectors
-//! chunk by chunk. The pile stores the same correlations as window-major
-//! `f64` tables in the exact layout `block_kernel` consumes, so the query
-//! path maps the file and hands the kernel zero-copy `CorrView` borrows —
-//! no per-record deserialization, no record vectors.
+//! The pile stores correlations as window-major `f64` tables in the exact
+//! layout `block_kernel` consumes, so the query path maps the file and hands
+//! the kernel zero-copy `CorrView` borrows — no per-record deserialization,
+//! no gathered copy of the table.
 //!
 //! This bench pins three facts with a counting global allocator (the
 //! `fig6b_streamed` pattern):
 //!
-//! * sketch-write throughput: the pile's coalesced window-major appends vs
-//!   the record store's batched record writes;
-//! * query-path allocation: a pile-backed network query's peak extra
-//!   allocation stays **below the size of the record table the store path
-//!   decodes** — direct evidence that no per-record materialization happens;
+//! * sketch-write throughput of the pile's coalesced window-major appends;
+//! * query-path allocation: fetching the query's pair table from the
+//!   compacted pile allocates **at least a whole `P×W×8`-byte `f64` table
+//!   less** than from a copy split into per-window segments, which must
+//!   gather it — direct evidence that the sweep reads the mapping in place.
+//!   The whole network query's peak extra allocation stays below four such
+//!   tables;
 //! * out-of-core queries: with `TSUBASA_DENSE_LIMIT_BYTES` set below the
 //!   dense matrix requirement, the dense query fails fast with `TooLarge`
 //!   while the streamed pile network/top-k queries complete against the
 //!   same mapped file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use tsubasa_bench::{fmt_ms, millis, scaled, workers, Table};
 use tsubasa_core::error::Error;
+use tsubasa_core::plan::PlanMethod;
+use tsubasa_core::source::CorrSource;
 use tsubasa_data::prelude::*;
 use tsubasa_parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa_storage::{
-    DiskSketchStore, PairWindowRecord, PileWriter, SegmentKind, SketchPile, SketchStore,
-};
+use tsubasa_storage::{PileWriter, SegmentKind, SketchPile};
 
 struct CountingAlloc;
 
@@ -96,6 +95,35 @@ fn fmt_bytes(b: u128) -> String {
     }
 }
 
+/// Copy `pile` into a new pile at `path` with one segment per window and
+/// kind, so multi-window ranges can only be served by gathering.
+fn split_per_window(pile: &SketchPile, path: &Path) -> SketchPile {
+    let windows = pile.exact_query_windows();
+    let stats = pile.series_stats(0..windows).unwrap();
+    let corrs = pile.pair_table(0..windows, SegmentKind::PairCorrs).unwrap();
+    let mut writer = PileWriter::create(path, pile.n_series(), pile.basic_window()).unwrap();
+    for w in 0..windows {
+        let row: Vec<f64> = stats
+            .iter()
+            .flat_map(|s| [s[w].len as f64, s[w].mean, s[w].std])
+            .collect();
+        writer.append(SegmentKind::SeriesStats, &row).unwrap();
+        writer
+            .append(SegmentKind::PairCorrs, corrs.view().window_row(w))
+            .unwrap();
+    }
+    writer.into_pile().unwrap()
+}
+
+/// Peak extra allocation of fetching the exact pair table of `pile`.
+fn fetch_peak(pile: &SketchPile, windows: usize) -> usize {
+    let base = reset_peak();
+    let table = CorrSource::full_table(pile, 0..windows, PlanMethod::Exact).unwrap();
+    let peak = peak_extra(base);
+    drop(table);
+    peak
+}
+
 fn main() {
     let basic_window = 120;
     let points = 960;
@@ -109,7 +137,7 @@ fn main() {
         .collect();
 
     println!(
-        "Pile benchmark: mapped window-major pile vs record store | B={basic_window} | \
+        "Pile benchmark: mapped window-major pile | B={basic_window} | \
          {points} points | theta={theta} | k={k} | {workers} workers"
     );
 
@@ -122,12 +150,11 @@ fn main() {
 
     let mut table = Table::new(&[
         "series",
-        "backend",
         "sketch wall",
         "db write",
         "net wall",
         "net peak alloc",
-        "record table",
+        "f64 table",
         "zero-copy",
     ]);
     let mut json_rows = Vec::new();
@@ -140,37 +167,11 @@ fn main() {
             ..BerkeleyLikeConfig::default()
         })
         .expect("generate dataset");
-        let layout = ParallelEngine::layout_for(&collection, basic_window).unwrap();
         let pairs = n * (n - 1) / 2;
-        // What the record-store query path decodes, and the pile path never
-        // materializes: one PairWindowRecord per (pair, window).
-        let record_table_bytes = pairs * windows * std::mem::size_of::<PairWindowRecord>();
+        // What a gathering source would copy out for the query, and the
+        // mapped pile never materializes: one f64 per (pair, window).
+        let table_bytes = pairs * windows * std::mem::size_of::<f64>();
 
-        // --- Record store ------------------------------------------------
-        let dir = std::env::temp_dir().join(format!("tsubasa-figpile-{}-{n}", std::process::id()));
-        let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
-        let store_report = engine
-            .sketch_to_store(&collection, basic_window, store.clone())
-            .unwrap();
-        let base = reset_peak();
-        let t = Instant::now();
-        let (net_store, _) = engine
-            .network_from_store(store.clone(), 0..windows, QueryMethod::Exact, theta)
-            .unwrap();
-        let store_net_wall = t.elapsed();
-        let store_peak = peak_extra(base);
-        table.row(vec![
-            n.to_string(),
-            "record".to_string(),
-            fmt_ms(millis(store_report.wall_time)),
-            fmt_ms(millis(store_report.write_time)),
-            fmt_ms(millis(store_net_wall)),
-            fmt_bytes(store_peak as u128),
-            fmt_bytes(record_table_bytes as u128),
-            "-".to_string(),
-        ]);
-
-        // --- Pile --------------------------------------------------------
         let path =
             std::env::temp_dir().join(format!("tsubasa-figpile-{}-{n}.pile", std::process::id()));
         let writer = PileWriter::create(&path, n, basic_window).unwrap();
@@ -194,30 +195,41 @@ fn main() {
         let base = reset_peak();
         let t = Instant::now();
         let (net_pile, _) = engine
-            .network_from_pile(&pile, 0..windows, QueryMethod::Exact, theta)
+            .network(&pile, 0..windows, QueryMethod::Exact, theta)
             .unwrap();
         let pile_net_wall = t.elapsed();
         let pile_peak = peak_extra(base);
-        assert_eq!(
-            net_store.edges(),
-            net_pile.edges(),
-            "pile and record-store networks must agree bit-for-bit"
-        );
-        // The zero-deserialization claim, enforced: the whole pile query —
-        // plan, bounds, sinks, tiles — allocates less than the record table
-        // the store path decodes chunk by chunk.
         assert!(
-            pile_peak < record_table_bytes,
-            "pile network query allocated {pile_peak} B, record table is {record_table_bytes} B"
+            pile_peak < 4 * table_bytes,
+            "pile network query allocated {pile_peak} B, f64 table is {table_bytes} B"
+        );
+
+        // The zero-copy claim, enforced: the table fetch the sweep runs on
+        // borrows the mapping, while per-window segments force a gather.
+        let split_path = path.with_extension("split.pile");
+        let split = split_per_window(&pile, &split_path);
+        let mapped_fetch = fetch_peak(&pile, windows);
+        let gathered_fetch = fetch_peak(&split, windows);
+        assert!(
+            mapped_fetch + table_bytes <= gathered_fetch,
+            "pile fetch allocated {mapped_fetch} B, split pile fetch {gathered_fetch} B, \
+             f64 table is {table_bytes} B"
+        );
+        drop(split);
+        std::fs::remove_file(&split_path).ok();
+        let (dense, _) = engine.query(&pile, 0..windows, QueryMethod::Exact).unwrap();
+        assert_eq!(
+            net_pile.to_adjacency(),
+            dense.threshold(theta).unwrap(),
+            "streamed pile network must equal the dense threshold"
         );
         table.row(vec![
             n.to_string(),
-            "pile".to_string(),
             fmt_ms(millis(pile_report.wall_time)),
             fmt_ms(millis(pile_report.write_time)),
             fmt_ms(millis(pile_net_wall)),
             fmt_bytes(pile_peak as u128),
-            fmt_bytes(record_table_bytes as u128),
+            fmt_bytes(table_bytes as u128),
             if pile.is_mmap() { "mmap" } else { "fallback" }.to_string(),
         ]);
 
@@ -225,21 +237,18 @@ fn main() {
             "series": n,
             "pairs": pairs,
             "windows": windows,
-            "record_sketch_wall_ms": millis(store_report.wall_time),
-            "record_write_ms": millis(store_report.write_time),
-            "record_network_wall_ms": millis(store_net_wall),
-            "record_network_peak_bytes": store_peak,
             "pile_sketch_wall_ms": millis(pile_report.wall_time),
             "pile_write_ms": millis(pile_report.write_time),
             "pile_network_wall_ms": millis(pile_net_wall),
             "pile_network_peak_bytes": pile_peak,
-            "record_table_bytes": record_table_bytes,
+            "table_bytes": table_bytes,
+            "fetch_bytes": mapped_fetch,
+            "split_fetch_bytes": gathered_fetch,
             "pile_space_bytes": pile.space_bytes(),
             "pile_is_mmap": pile.is_mmap(),
             "edges": net_pile.edge_count(),
         }));
 
-        std::fs::remove_dir_all(&dir).ok();
         if Some(n) == sweep.last().copied() {
             last_pile_path = Some(path);
         } else {
@@ -247,7 +256,7 @@ fn main() {
         }
     }
 
-    table.print("Pile vs record store: sketch write + network query");
+    table.print("Pile: sketch write + network query");
 
     // --- Out-of-core coda: query a pile past the dense budget -------------
     let path = last_pile_path.expect("at least one sweep point");
@@ -260,19 +269,19 @@ fn main() {
     let dense_limit = (dense_need / 2).max(1);
     std::env::set_var("TSUBASA_DENSE_LIMIT_BYTES", dense_limit.to_string());
 
-    let dense = engine.query_from_pile(&pile, 0..windows, QueryMethod::Exact);
+    let dense = engine.query(&pile, 0..windows, QueryMethod::Exact);
     assert!(
         matches!(dense, Err(Error::TooLarge { .. })),
         "dense query must trip the budget guard"
     );
     let t = Instant::now();
     let (net, _) = engine
-        .network_from_pile(&pile, 0..windows, QueryMethod::Exact, theta)
+        .network(&pile, 0..windows, QueryMethod::Exact, theta)
         .unwrap();
     let net_wall = t.elapsed();
     let t = Instant::now();
     let (top, _) = engine
-        .top_k_from_pile(&pile, 0..windows, QueryMethod::Exact, k)
+        .top_k(&pile, 0..windows, QueryMethod::Exact, k)
         .unwrap();
     let top_wall = t.elapsed();
     std::env::remove_var("TSUBASA_DENSE_LIMIT_BYTES");

@@ -69,9 +69,9 @@ pub enum Error {
         points: usize,
     },
     /// Thresholding (or ranking) ran into NaN correlations. NaN legitimately
-    /// appears in matrices assembled from store records whose sketch method
-    /// does not match the query method; treating those entries as "no edge"
-    /// silently produced a plausible-looking but wrong network. The strict
+    /// appears in matrices assembled from NaN-bearing sketches or built by
+    /// hand; treating those entries as "no edge" silently produced a
+    /// plausible-looking but wrong network. The strict
     /// API surfaces them instead; the `*_lenient` variants skip and count
     /// them for callers that opt in.
     NanCorrelations {

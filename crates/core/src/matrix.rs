@@ -81,9 +81,9 @@ impl CorrelationMatrix {
     /// |corr| thresholding).
     ///
     /// Errors with [`Error::NanCorrelations`] if any entry is NaN — NaN
-    /// appears in matrices assembled from store records whose sketch method
-    /// does not match the query method, and treating it as "no edge" would
-    /// silently yield a plausible-looking but wrong network. Callers that
+    /// appears in matrices assembled from NaN-bearing sketches or built by
+    /// hand, and treating it as "no edge" would silently yield a
+    /// plausible-looking but wrong network. Callers that
     /// accept missing pairs use [`CorrelationMatrix::threshold_lenient`].
     pub fn threshold(&self, theta: f64) -> Result<AdjacencyMatrix> {
         let net = self.apply_threshold(theta, false);

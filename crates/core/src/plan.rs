@@ -638,8 +638,8 @@ impl<'a> CorrView<'a> {
 
 /// An owned window-major transposed copy of per-pair per-window correlations
 /// — the buffer behind a [`CorrView`] when there is no long-lived
-/// window-major table to borrow from (e.g. a batch of records just read
-/// from a sketch store by the disk engine).
+/// window-major table to borrow from (e.g. a chunk gathered from a sketch
+/// source, or a pile range spanning several segments).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransposedCorrs {
     pairs: usize,

@@ -40,8 +40,8 @@
 //! [`TopK::nan_pairs`]) — the same lenient-with-audit rule as
 //! [`CorrelationMatrix::threshold_lenient`]. Plan-based sweeps cannot
 //! produce NaN (the kernel clamps), but [`sweep_matrix`] streams existing
-//! matrices — including NaN-bearing ones assembled from store records —
-//! through the same sinks.
+//! matrices — including NaN-bearing hand-built ones — through the same
+//! sinks.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -223,8 +223,8 @@ pub fn sweep_run(
 
 /// Stream an existing dense [`CorrelationMatrix`] through a sink, tile by
 /// tile — the bridge that lets matrices assembled elsewhere (including
-/// NaN-bearing ones re-hydrated from store records) reuse the streamed
-/// consumers and their NaN accounting.
+/// NaN-bearing ones) reuse the streamed consumers and their NaN
+/// accounting.
 pub fn sweep_matrix(matrix: &CorrelationMatrix, tile_len: usize, sink: &mut dyn TileSink) {
     let n = matrix.len();
     let values = matrix.upper_triangle();
@@ -388,8 +388,7 @@ impl EdgeList {
         self.nan_pairs
     }
 
-    /// Add externally observed NaN pairs to the audit count (the disk
-    /// engine counts method-mismatched store records before recombination).
+    /// Add externally observed NaN pairs to the audit count.
     pub fn add_nan_pairs(&mut self, extra: usize) {
         self.nan_pairs += extra;
     }

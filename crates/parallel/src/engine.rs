@@ -2,21 +2,20 @@
 //!
 //! Both phases follow the same shape: the unordered pairs are partitioned
 //! across computation workers ([`crate::partition::partition_pairs`]) that
-//! run on the engine's reusable [`WorkerPool`] (no per-call thread spawning);
-//! during sketching the workers stream [`WriteBatch`]es to the single
-//! database worker, and during querying they read sketch batches back from
-//! the store and write correlations straight into their disjoint slices of
-//! the packed result matrix.
+//! run on the engine's reusable [`WorkerPool`] (no per-call thread spawning).
+//! During sketching the workers fill disjoint slices of each window-major
+//! row, which is streamed to the pile's single database worker
+//! ([`PileBatchWriter`]); during querying they sweep the source's
+//! window-major table and write correlations straight into their disjoint
+//! slices of the packed result matrix.
 //!
 //! Both hot loops are tiled batch kernels over window-major data: the sketch
 //! phase z-normalizes every basic window once and evaluates each pair-window
 //! correlation as a dot product over contiguous rows
-//! ([`tsubasa_core::stats::normalized_dot_corr`]), and the exact query phase
-//! transposes each read batch into a window-major correlation table and
-//! sweeps it with [`QueryPlan::block_kernel`].
+//! ([`tsubasa_core::stats::normalized_dot_corr`]), and the query phase sweeps
+//! the window-major correlation table with [`QueryPlan::block_kernel`].
 
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tsubasa_core::capacity::check_dense_budget;
@@ -32,9 +31,8 @@ use tsubasa_core::Job;
 use tsubasa_core::SeriesCollection;
 use tsubasa_dft::dft::{coefficient_distance, DftPlanner};
 use tsubasa_dft::normalize::normalize_unit_with_stats;
-use tsubasa_storage::pile::{PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile};
-use tsubasa_storage::{
-    BatchWriter, PairWindowRecord, SeriesWindowRecord, SketchStore, StoreLayout, WriteBatch,
+use tsubasa_storage::pile::{
+    PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile, StoreLayout,
 };
 
 use crate::partition::partition_pairs;
@@ -55,7 +53,7 @@ pub enum SketchMethod {
     },
 }
 
-/// How the query phase turns stored records into correlations.
+/// How the query phase recombines the stored per-window table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryMethod {
     /// Exact recombination (Lemma 1) from stored per-window correlations.
@@ -64,24 +62,28 @@ pub enum QueryMethod {
     Approximate,
 }
 
+/// The default [`ParallelConfig::batch_pairs`].
+pub const DEFAULT_BATCH_PAIRS: usize = 256;
+
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of computation workers (the paper uses 63 plus one database
     /// worker).
     pub workers: usize,
-    /// Number of pairs whose records are grouped into one write batch / one
-    /// ranged read.
+    /// Number of pairs per query chunk: the streamed sweeps' tile width and
+    /// the read size of chunked sources. Also bounds the sketch phase's
+    /// writer queue (in window-major slabs).
     pub batch_pairs: usize,
     /// What the sketch phase computes.
     pub sketch_method: SketchMethod,
-    /// Audit chunks skipped by Equation 4 pruning for NaN records. Pruning
-    /// decides from per-series statistics alone, so a method-mismatched
-    /// record (NaN in the recombined field) hiding in a skippable chunk is
-    /// never read and its pair goes uncounted. With this set, skipped chunks
-    /// are still read and NaN-audited — the tiles stay skipped (no
-    /// recombination work), only the accounting becomes exhaustive, at the
-    /// cost of the store reads pruning would have saved.
+    /// Audit chunks skipped by Equation 4 pruning for NaN table values.
+    /// Pruning decides from per-series statistics alone, so a NaN window
+    /// hiding in a skippable chunk is never read and its pair goes
+    /// uncounted. With this set, skipped chunks are still read and
+    /// NaN-audited — the tiles stay skipped (no recombination work), only
+    /// the accounting becomes exhaustive, at the cost of the reads pruning
+    /// would have saved.
     pub audit_pruned_chunks: bool,
 }
 
@@ -92,7 +94,7 @@ impl Default for ParallelConfig {
             .unwrap_or(1);
         Self {
             workers,
-            batch_pairs: tsubasa_storage::default_batch_pairs(),
+            batch_pairs: DEFAULT_BATCH_PAIRS,
             sketch_method: SketchMethod::Exact,
             audit_pruned_chunks: false,
         }
@@ -102,9 +104,9 @@ impl Default for ParallelConfig {
 /// The parallel, disk-based TSUBASA engine.
 ///
 /// The engine owns a reusable [`WorkerPool`] sized to its configured worker
-/// count: every [`ParallelEngine::sketch_to_store`] and
-/// [`ParallelEngine::query_from_store`] call runs its computation workers on
-/// those long-lived threads, so back-to-back phases (and repeated queries)
+/// count: every [`ParallelEngine::sketch_to_pile`] and
+/// [`ParallelEngine::query`] call runs its computation workers on those
+/// long-lived threads, so back-to-back phases (and repeated queries)
 /// pay thread startup once per engine instead of once per call.
 #[derive(Debug)]
 pub struct ParallelEngine {
@@ -131,8 +133,7 @@ impl ParallelEngine {
         &self.pool
     }
 
-    /// The store layout required to hold the sketch of `collection` at the
-    /// given basic-window size.
+    /// The sketch shape of `collection` at the given basic-window size.
     pub fn layout_for(collection: &SeriesCollection, basic_window: usize) -> Result<StoreLayout> {
         let windowing = BasicWindowing::new(basic_window)?;
         Ok(StoreLayout {
@@ -142,26 +143,44 @@ impl ParallelEngine {
         })
     }
 
-    /// Sketch `collection` into `store` using the configured number of
-    /// computation workers plus one database worker, and report the timing
-    /// breakdown (Figure 6a).
-    pub fn sketch_to_store(
+    /// Sketch `collection` into a fresh pile using the configured number of
+    /// computation workers plus one database worker (the threaded
+    /// [`PileBatchWriter`]), and return the mapped result alongside the
+    /// timing breakdown (Figure 6a).
+    ///
+    /// A per-series pass computes the window statistics (one window-major
+    /// stats slab) and the z-normalized rows or DFT coefficients. The pair
+    /// pass then proceeds one window at a time, with the computation workers
+    /// filling disjoint carved slices of the full-width window row, which is
+    /// streamed (in window order) to the database worker as one coalescable
+    /// slab. Under [`SketchMethod::Dft`] the pile stores the Equation 3
+    /// estimates `1 − d²/2` of the coefficient distances, which is what makes
+    /// approximate queries zero-copy too.
+    pub fn sketch_to_pile(
         &self,
         collection: &SeriesCollection,
         basic_window: usize,
-        store: Arc<dyn SketchStore>,
-    ) -> Result<SketchReport> {
+        writer: PileWriter,
+    ) -> Result<(SketchReport, SketchPile)> {
         let wall_start = Instant::now();
-        let layout = store.layout();
         let expected = Self::layout_for(collection, basic_window)?;
-        if layout != expected {
+        let fresh = SegmentKind::ALL.iter().all(|&k| writer.coverage(k) == 0);
+        if writer.n_series() != expected.n_series
+            || writer.basic_window() != expected.basic_window
+            || !fresh
+        {
             return Err(Error::SketchMismatch {
-                requested: format!("{expected:?}"),
-                available: format!("{layout:?}"),
+                requested: format!("fresh pile for {expected:?}"),
+                available: format!(
+                    "pile(n_series={}, basic_window={}, windows appended={})",
+                    writer.n_series(),
+                    writer.basic_window(),
+                    !fresh
+                ),
             });
         }
         let windowing = BasicWindowing::new(basic_window)?;
-        let ns = layout.n_windows;
+        let ns = expected.n_windows;
         let n = collection.len();
         if ns == 0 {
             return Err(Error::InvalidBasicWindow {
@@ -169,28 +188,36 @@ impl ParallelEngine {
                 series_len: collection.series_len(),
             });
         }
-
-        let writer = BatchWriter::spawn(store, self.config.batch_pairs.max(1));
-        let mut compute_time = Duration::ZERO;
         let bw = basic_window;
         let exact = matches!(self.config.sketch_method, SketchMethod::Exact);
 
-        // Per-series pass: window statistics, the window-major z-normalized
-        // copy of the data for the exact tiled kernel, and (for the DFT
-        // comparator) the coefficients of every normalized window. All of it
-        // is shared read-only with the pair workers below.
+        let batch = PileBatchWriter::spawn(writer, self.config.batch_pairs.max(1));
+        let mut compute_time = Duration::ZERO;
+
+        // Per-series pass: window statistics (one window-major stats slab),
+        // the window-major z-normalized copy of the data for the exact tiled
+        // kernel, and (for the DFT comparator) the coefficients of every
+        // normalized window. All of it is shared read-only with the pair
+        // workers below.
         let per_series_start = Instant::now();
         let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
         // z[(w·n + i)·B ..] is basic window `w` of series `i`, z-scored; a
         // pair's window correlation is then one dot product over two
         // contiguous rows instead of a centered cross-product over raw data.
         let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
+        let mut stats_rows = vec![0.0f64; ns * n * 3];
         let planner = DftPlanner::new(bw);
         for (id, series) in collection.iter_with_ids() {
             let values = series.values();
             let stats: Vec<WindowStats> = (0..ns)
                 .map(|w| WindowStats::from_values(windowing.window_span(w).slice(values)))
                 .collect();
+            for (w, st) in stats.iter().enumerate() {
+                let base = (w * n + id) * 3;
+                stats_rows[base] = st.len as f64;
+                stats_rows[base + 1] = st.mean;
+                stats_rows[base + 2] = st.std;
+            }
             if exact {
                 for (w, st) in stats.iter().enumerate() {
                     let span = windowing.window_span(w);
@@ -207,109 +234,92 @@ impl ParallelEngine {
                     .collect();
                 series_coeffs.push(coeffs);
             }
-            // Stream the per-series records to the database worker.
-            let records: Vec<SeriesWindowRecord> = stats
-                .iter()
-                .enumerate()
-                .map(|(w, st)| SeriesWindowRecord::from_stats(id, w, st))
-                .collect();
-            writer
-                .sender()
-                .send(WriteBatch {
-                    series: records,
-                    pairs: vec![],
-                })
-                .map_err(|_| Error::Storage("database worker hung up".into()))?;
         }
         compute_time += per_series_start.elapsed();
+        batch
+            .sender()
+            .send(PileSlab::Stats(stats_rows))
+            .map_err(|_| Error::Storage("pile writer hung up".into()))?;
 
-        // Pair pass: partitioned across the pool's computation workers.
+        // Pair pass, window at a time: workers fill disjoint carved slices of
+        // the full-width packed row, preserving the strict window order the
+        // pile's append discipline requires.
         let partitions = partition_pairs(n, self.config.workers.max(1));
         let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let batch_pairs = self.config.batch_pairs.max(1);
         let method = self.config.sketch_method;
         let z_ref = &z;
-        let series_coeffs = &series_coeffs;
-
-        let live: Vec<_> = partitions.iter().filter(|p| !p.is_empty()).collect();
-        let mut outcomes: Vec<Result<Duration>> =
-            (0..live.len()).map(|_| Ok(Duration::ZERO)).collect();
-        let jobs: Vec<Job<'_>> = live
-            .iter()
-            .zip(outcomes.iter_mut())
-            .map(|(part, outcome)| {
-                let sender = writer.sender();
-                let part = *part;
-                Box::new(move || {
-                    *outcome = (|| -> Result<Duration> {
-                        let mut busy = Duration::ZERO;
-                        let mut batch = WriteBatch::default();
-                        for &(a, b) in &part.pairs {
+        let coeffs_ref = &series_coeffs;
+        for w in 0..ns {
+            if pair_count == 0 {
+                break;
+            }
+            let mut row = vec![0.0f64; pair_count];
+            {
+                let slices = tsubasa_core::plan::carve_packed_slices(
+                    &mut row,
+                    partitions.iter().map(|p| p.len()),
+                );
+                let live: Vec<_> = partitions
+                    .iter()
+                    .zip(slices)
+                    .filter(|(p, _)| !p.is_empty())
+                    .collect();
+                let mut outcomes: Vec<Duration> = vec![Duration::ZERO; live.len()];
+                let jobs: Vec<Job<'_>> = live
+                    .into_iter()
+                    .zip(outcomes.iter_mut())
+                    .map(|((part, slice), busy)| {
+                        Box::new(move || {
                             let start = Instant::now();
-                            for w in 0..ns {
-                                let record = match method {
+                            for (slot, &(a, b)) in slice.iter_mut().zip(&part.pairs) {
+                                *slot = match method {
                                     SketchMethod::Exact => {
-                                        // Tiled kernel: both rows of the pair
-                                        // are contiguous z-scored slices of
-                                        // the shared window-major buffer.
                                         let za = &z_ref[(w * n + a) * bw..(w * n + a + 1) * bw];
                                         let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
-                                        PairWindowRecord {
-                                            a: a as u32,
-                                            b: b as u32,
-                                            window: w as u32,
-                                            corr: normalized_dot_corr(za, zb),
-                                            dft_dist: f64::NAN,
-                                        }
+                                        normalized_dot_corr(za, zb)
                                     }
                                     SketchMethod::Dft { coefficients } => {
                                         let d = coefficient_distance(
-                                            &series_coeffs[a][w],
-                                            &series_coeffs[b][w],
+                                            &coeffs_ref[a][w],
+                                            &coeffs_ref[b][w],
                                             coefficients,
                                         );
-                                        PairWindowRecord {
-                                            a: a as u32,
-                                            b: b as u32,
-                                            window: w as u32,
-                                            corr: f64::NAN,
-                                            dft_dist: d,
-                                        }
+                                        1.0 - d * d / 2.0
                                     }
                                 };
-                                batch.pairs.push(record);
                             }
-                            busy += start.elapsed();
-                            if batch.pairs.len() >= batch_pairs * ns {
-                                let full = std::mem::take(&mut batch);
-                                sender.send(full).map_err(|_| {
-                                    Error::Storage("database worker hung up".into())
-                                })?;
-                            }
-                        }
-                        if !batch.is_empty() {
-                            sender
-                                .send(batch)
-                                .map_err(|_| Error::Storage("database worker hung up".into()))?;
-                        }
-                        Ok(busy)
-                    })();
-                }) as Job<'_>
-            })
-            .collect();
-        self.pool.run_jobs(jobs);
-        for outcome in outcomes {
-            compute_time += outcome?;
+                            *busy = start.elapsed();
+                        }) as Job<'_>
+                    })
+                    .collect();
+                self.pool.run_jobs(jobs);
+                for busy in outcomes {
+                    compute_time += busy;
+                }
+            }
+            let slab = if exact {
+                PileSlab::Corrs(row)
+            } else {
+                PileSlab::Ests(row)
+            };
+            batch
+                .sender()
+                .send(slab)
+                .map_err(|_| Error::Storage("pile writer hung up".into()))?;
         }
-        let writer_stats = writer.finish()?;
 
-        Ok(SketchReport {
-            workers: self.config.workers.max(1),
-            pairs: pair_count,
-            compute_time,
-            write_time: writer_stats.write_time,
-            wall_time: wall_start.elapsed(),
-        })
+        let (writer_stats, writer) = batch.finish()?;
+        let pile = writer.into_pile()?;
+        Ok((
+            SketchReport {
+                workers: self.config.workers.max(1),
+                pairs: pair_count,
+                compute_time,
+                write_time: writer_stats.write_time,
+                wall_time: wall_start.elapsed(),
+            },
+            pile,
+        ))
     }
 
     /// The plan-level method a query method recombines with.
@@ -321,9 +331,8 @@ impl ParallelEngine {
     }
 
     /// Build the all-pair correlation matrix for an aligned range of basic
-    /// windows from **any** [`CorrSource`] — in-memory sketches, the record
-    /// store, or a mapped pile — and report the read/compute breakdown
-    /// (Figure 6b).
+    /// windows from **any** [`CorrSource`] — in-memory sketches or a mapped
+    /// pile — and report the read/compute breakdown (Figure 6b).
     ///
     /// The per-series statistics are fetched once and folded into a single
     /// read-only [`QueryPlan`] shared by every worker; each worker owns a
@@ -332,8 +341,8 @@ impl ParallelEngine {
     /// assembled without any merge step. Sources that serve a full-width
     /// window-major table ([`CorrSource::full_table`]: in-memory sketches,
     /// mapped piles) are swept in place with global pair offsets; chunked
-    /// sources (the record store) are read batch by batch through
-    /// [`CorrSource::chunk_table`]. The kernel's per-pair accumulation is
+    /// sources (an approximate `DftSketchSet` above the dense budget) are
+    /// gathered batch by batch through [`CorrSource::chunk_table`]. The kernel's per-pair accumulation is
     /// independent of tiling, so the two shapes are bit-identical.
     pub fn query<S: CorrSource + ?Sized>(
         &self,
@@ -428,11 +437,8 @@ impl ParallelEngine {
                             }
                             out.compute += t1.elapsed();
                         } else {
-                            // Chunked source: consecutive pairs of a
-                            // partition are contiguous on disk, so the store
-                            // serves a batch with a single ranged read; the
-                            // chunk table arrives already window-major for
-                            // the batch kernel.
+                            // Chunked source: the chunk table arrives
+                            // already window-major for the batch kernel.
                             let mut cursor = 0;
                             for chunk in part.pairs.chunks(batch_pairs) {
                                 let t0 = Instant::now();
@@ -496,9 +502,9 @@ impl ParallelEngine {
     /// On the [`QueryMethod::Approximate`] path, whole chunks are skipped
     /// *before* their table columns are touched when their Equation 4
     /// per-tile correlation upper bound cannot reach θ — the paper's pruning
-    /// radius applied at I/O granularity (a pruned chunk is neither read
-    /// from a store nor faulted in from a mapping). The exact path observes
-    /// every pair, so its NaN audit (method-mismatched sketches, counted per
+    /// radius applied at I/O granularity (a pruned chunk is neither gathered
+    /// nor faulted in from a mapping). The exact path observes
+    /// every pair, so its NaN audit (NaN table windows, counted per
     /// pair and exposed through [`EdgeList::nan_pair_count`]) is exhaustive;
     /// pruned approximate chunks are audited only under
     /// [`ParallelConfig::audit_pruned_chunks`].
@@ -659,257 +665,6 @@ impl ParallelEngine {
             },
         ))
     }
-
-    /// [`ParallelEngine::query`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn query_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-    ) -> Result<(CorrelationMatrix, QueryReport)> {
-        self.query(&*store, windows, method)
-    }
-
-    /// [`ParallelEngine::network`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn network_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-        theta: f64,
-    ) -> Result<(EdgeList, QueryReport)> {
-        self.network(&*store, windows, method, theta)
-    }
-
-    /// [`ParallelEngine::top_k`] against a record store — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn top_k_from_store(
-        &self,
-        store: Arc<dyn SketchStore>,
-        windows: Range<usize>,
-        method: QueryMethod,
-        k: usize,
-    ) -> Result<(TopK, QueryReport)> {
-        self.top_k(&*store, windows, method, k)
-    }
-
-    /// [`ParallelEngine::query`] against a mapped pile — a thin wrapper over
-    /// the unified source pipeline (the pile serves its full-width table
-    /// zero-copy, so the sweep never deserializes a record).
-    pub fn query_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-    ) -> Result<(CorrelationMatrix, QueryReport)> {
-        self.query(pile, windows, method)
-    }
-
-    /// [`ParallelEngine::network`] against a mapped pile — a thin wrapper
-    /// over the unified source pipeline.
-    pub fn network_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-        theta: f64,
-    ) -> Result<(EdgeList, QueryReport)> {
-        self.network(pile, windows, method, theta)
-    }
-
-    /// [`ParallelEngine::top_k`] against a mapped pile — a thin wrapper over
-    /// the unified source pipeline.
-    pub fn top_k_from_pile(
-        &self,
-        pile: &SketchPile,
-        windows: Range<usize>,
-        method: QueryMethod,
-        k: usize,
-    ) -> Result<(TopK, QueryReport)> {
-        self.top_k(pile, windows, method, k)
-    }
-}
-
-/// The pile-bound sketch phase: the same partitioned computation as
-/// [`ParallelEngine::sketch_to_store`], streaming window-major slabs to the
-/// pile's database worker instead of record batches. (Pile *queries* go
-/// through the unified [`CorrSource`] pipeline above — the pile serves
-/// zero-copy full-width tables, so no pile-specific query code survives.)
-impl ParallelEngine {
-    /// Sketch `collection` into a fresh pile through the threaded pile
-    /// writer, and return the mapped result alongside the timing breakdown.
-    ///
-    /// The per-series pass is identical to [`ParallelEngine::sketch_to_store`];
-    /// the pair pass proceeds one window at a time, with the computation
-    /// workers filling disjoint carved slices of the full-width window row,
-    /// which is then streamed (in window order) to the pile's database
-    /// worker as one coalescable slab — window-major slabs instead of
-    /// random-offset records. Under [`SketchMethod::Dft`] the pile stores the
-    /// Equation 3 estimates `1 − d²/2` (computed here with the exact
-    /// expression the record-store query path applies to stored distances, so
-    /// the two paths stay bit-identical), which is what makes approximate
-    /// queries zero-copy too.
-    pub fn sketch_to_pile(
-        &self,
-        collection: &SeriesCollection,
-        basic_window: usize,
-        writer: PileWriter,
-    ) -> Result<(SketchReport, SketchPile)> {
-        let wall_start = Instant::now();
-        let expected = Self::layout_for(collection, basic_window)?;
-        let fresh = SegmentKind::ALL.iter().all(|&k| writer.coverage(k) == 0);
-        if writer.n_series() != expected.n_series
-            || writer.basic_window() != expected.basic_window
-            || !fresh
-        {
-            return Err(Error::SketchMismatch {
-                requested: format!("fresh pile for {expected:?}"),
-                available: format!(
-                    "pile(n_series={}, basic_window={}, windows appended={})",
-                    writer.n_series(),
-                    writer.basic_window(),
-                    !fresh
-                ),
-            });
-        }
-        let windowing = BasicWindowing::new(basic_window)?;
-        let ns = expected.n_windows;
-        let n = collection.len();
-        if ns == 0 {
-            return Err(Error::InvalidBasicWindow {
-                window: basic_window,
-                series_len: collection.series_len(),
-            });
-        }
-        let bw = basic_window;
-        let exact = matches!(self.config.sketch_method, SketchMethod::Exact);
-
-        let batch = PileBatchWriter::spawn(writer, self.config.batch_pairs.max(1));
-        let mut compute_time = Duration::ZERO;
-
-        // Per-series pass: same statistics / z-rows / coefficients as the
-        // record path, plus one window-major stats slab for the pile.
-        let per_series_start = Instant::now();
-        let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
-        let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
-        let mut stats_rows = vec![0.0f64; ns * n * 3];
-        let planner = DftPlanner::new(bw);
-        for (id, series) in collection.iter_with_ids() {
-            let values = series.values();
-            let stats: Vec<WindowStats> = (0..ns)
-                .map(|w| WindowStats::from_values(windowing.window_span(w).slice(values)))
-                .collect();
-            for (w, st) in stats.iter().enumerate() {
-                let base = (w * n + id) * 3;
-                stats_rows[base] = st.len as f64;
-                stats_rows[base + 1] = st.mean;
-                stats_rows[base + 2] = st.std;
-            }
-            if exact {
-                for (w, st) in stats.iter().enumerate() {
-                    let span = windowing.window_span(w);
-                    let row = &mut z[(w * n + id) * bw..(w * n + id + 1) * bw];
-                    normalize_into(span.slice(values), st, row);
-                }
-            }
-            if let SketchMethod::Dft { coefficients: _ } = self.config.sketch_method {
-                let coeffs = (0..ns)
-                    .map(|w| {
-                        let span = windowing.window_span(w);
-                        planner.transform(&normalize_unit_with_stats(span.slice(values), &stats[w]))
-                    })
-                    .collect();
-                series_coeffs.push(coeffs);
-            }
-        }
-        compute_time += per_series_start.elapsed();
-        batch
-            .sender()
-            .send(PileSlab::Stats(stats_rows))
-            .map_err(|_| Error::Storage("pile writer hung up".into()))?;
-
-        // Pair pass, window at a time: workers fill disjoint carved slices of
-        // the full-width packed row, preserving the strict window order the
-        // pile's append discipline requires.
-        let partitions = partition_pairs(n, self.config.workers.max(1));
-        let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
-        let method = self.config.sketch_method;
-        let z_ref = &z;
-        let coeffs_ref = &series_coeffs;
-        for w in 0..ns {
-            if pair_count == 0 {
-                break;
-            }
-            let mut row = vec![0.0f64; pair_count];
-            {
-                let slices = tsubasa_core::plan::carve_packed_slices(
-                    &mut row,
-                    partitions.iter().map(|p| p.len()),
-                );
-                let live: Vec<_> = partitions
-                    .iter()
-                    .zip(slices)
-                    .filter(|(p, _)| !p.is_empty())
-                    .collect();
-                let mut outcomes: Vec<Duration> = vec![Duration::ZERO; live.len()];
-                let jobs: Vec<Job<'_>> = live
-                    .into_iter()
-                    .zip(outcomes.iter_mut())
-                    .map(|((part, slice), busy)| {
-                        Box::new(move || {
-                            let start = Instant::now();
-                            for (slot, &(a, b)) in slice.iter_mut().zip(&part.pairs) {
-                                *slot = match method {
-                                    SketchMethod::Exact => {
-                                        let za = &z_ref[(w * n + a) * bw..(w * n + a + 1) * bw];
-                                        let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
-                                        normalized_dot_corr(za, zb)
-                                    }
-                                    SketchMethod::Dft { coefficients } => {
-                                        let d = coefficient_distance(
-                                            &coeffs_ref[a][w],
-                                            &coeffs_ref[b][w],
-                                            coefficients,
-                                        );
-                                        1.0 - d * d / 2.0
-                                    }
-                                };
-                            }
-                            *busy = start.elapsed();
-                        }) as Job<'_>
-                    })
-                    .collect();
-                self.pool.run_jobs(jobs);
-                for busy in outcomes {
-                    compute_time += busy;
-                }
-            }
-            let slab = if exact {
-                PileSlab::Corrs(row)
-            } else {
-                PileSlab::Ests(row)
-            };
-            batch
-                .sender()
-                .send(slab)
-                .map_err(|_| Error::Storage("pile writer hung up".into()))?;
-        }
-
-        let (writer_stats, writer) = batch.finish()?;
-        let pile = writer.into_pile()?;
-        Ok((
-            SketchReport {
-                workers: self.config.workers.max(1),
-                pairs: pair_count,
-                compute_time,
-                write_time: writer_stats.write_time,
-                wall_time: wall_start.elapsed(),
-            },
-            pile,
-        ))
-    }
 }
 
 /// Per-worker timing of one streamed partition sweep.
@@ -923,15 +678,15 @@ struct StreamedOut {
 /// single body behind every streamed backend. With a full-width table
 /// (`full` is `Some`: in-memory sketches, mapped piles) the chunks are swept
 /// in place with global pair offsets and nothing is ever copied; without one
-/// (the record store) each chunk is fetched through
-/// [`CorrSource::chunk_table`] — one ranged read — and swept with
-/// chunk-local offsets. Working memory is one chunk's table (chunked shape
+/// (an approximate `DftSketchSet` above the dense budget) each chunk is
+/// fetched through [`CorrSource::chunk_table`] and swept with chunk-local
+/// offsets. Working memory is one chunk's table (chunked shape
 /// only) plus one `batch_pairs`-sized output tile — never the partition's
 /// (let alone the triangle's) full size.
 ///
 /// Equation 4 chunk pruning is decided from per-series statistics alone: a
 /// skipped chunk's columns are never dereferenced (no page faults on a
-/// mapping) or read (no store I/O). Under `audit_pruned` the skipped chunk
+/// mapping) or gathered. Under `audit_pruned` the skipped chunk
 /// is still NaN-audited through the shared hook — the tiles stay skipped,
 /// only the accounting becomes exhaustive, at the cost of the reads pruning
 /// would have saved.
@@ -979,7 +734,7 @@ fn sweep_source_partition<S: CorrSource + ?Sized>(
         }
 
         // The NaN audit precedes recombination: the kernel clamps NaN window
-        // values to the 0.0 convention, so a method-mismatched sketch would
+        // values to the 0.0 convention, so a NaN table window would
         // otherwise silently produce a plausible-looking correlation.
         match full {
             Some(view) => {
@@ -1016,10 +771,12 @@ fn sweep_source_partition<S: CorrSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsubasa_core::{baseline, QueryWindow};
+    use std::path::PathBuf;
+    use tsubasa_core::plan::TransposedCorrs;
+    use tsubasa_core::source::PairTable;
+    use tsubasa_core::{baseline, QueryWindow, SketchSet};
     use tsubasa_data::station::{generate_ncea_like, NceaLikeConfig};
     use tsubasa_dft::sketch::{DftSketchSet, Transform};
-    use tsubasa_storage::{DiskSketchStore, MemorySketchStore};
 
     fn small_collection() -> SeriesCollection {
         generate_ncea_like(&NceaLikeConfig {
@@ -1042,19 +799,108 @@ mod tests {
         })
     }
 
+    fn temp_pile(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "tsubasa-engine-pile-{}-{tag}.pile",
+            std::process::id()
+        ))
+    }
+
+    /// A mapped pile in a per-test temp file, removed on drop.
+    struct TestPile {
+        pile: SketchPile,
+        path: PathBuf,
+    }
+
+    impl Drop for TestPile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.path).ok();
+        }
+    }
+
+    /// Sketch `c` into a fresh pile with `eng`.
+    fn sketch_pile(eng: &ParallelEngine, c: &SeriesCollection, b: usize, tag: &str) -> TestPile {
+        let path = temp_pile(tag);
+        let writer = PileWriter::create(&path, c.len(), b).unwrap();
+        let (report, pile) = eng.sketch_to_pile(c, b, writer).unwrap();
+        assert_eq!(report.pairs, c.pair_count());
+        TestPile { pile, path }
+    }
+
+    /// Copy `src`'s stats and `kind` table into a new pile, letting `edit`
+    /// rewrite each window row of the table first.
+    fn copy_pile(
+        src: &SketchPile,
+        kind: SegmentKind,
+        tag: &str,
+        edit: impl Fn(usize, &mut [f64]),
+    ) -> TestPile {
+        let n = src.n_series();
+        let ns = src.windows(kind);
+        let path = temp_pile(tag);
+        let mut writer = PileWriter::create(&path, n, src.basic_window()).unwrap();
+        let stats = src.series_stats(0..ns).unwrap();
+        let table = src.pair_table(0..ns, kind).unwrap();
+        for w in 0..ns {
+            let row: Vec<f64> = stats
+                .iter()
+                .flat_map(|s| [s[w].len as f64, s[w].mean, s[w].std])
+                .collect();
+            writer.append(SegmentKind::SeriesStats, &row).unwrap();
+            let mut row = table.view().window_row(w).to_vec();
+            edit(w, &mut row);
+            writer.append(kind, &row).unwrap();
+        }
+        TestPile {
+            pile: writer.into_pile().unwrap(),
+            path,
+        }
+    }
+
+    /// A source that hides its full table, forcing the engine's chunked
+    /// sweep (the shape an approximate `DftSketchSet` takes above the dense
+    /// budget).
+    struct ChunkedOnly<'a, S: ?Sized>(&'a S);
+
+    impl<S: CorrSource + ?Sized> CorrSource for ChunkedOnly<'_, S> {
+        fn series_count(&self) -> usize {
+            self.0.series_count()
+        }
+
+        fn window_count(&self, method: PlanMethod) -> usize {
+            self.0.window_count(method)
+        }
+
+        fn series_stats(&self, windows: Range<usize>) -> Result<Vec<Vec<WindowStats>>> {
+            self.0.series_stats(windows)
+        }
+
+        fn full_table(
+            &self,
+            _windows: Range<usize>,
+            _method: PlanMethod,
+        ) -> Result<Option<PairTable<'_>>> {
+            Ok(None)
+        }
+
+        fn chunk_table(
+            &self,
+            chunk: &[(usize, usize)],
+            windows: Range<usize>,
+            method: PlanMethod,
+        ) -> Result<TransposedCorrs> {
+            self.0.chunk_table(chunk, windows, method)
+        }
+    }
+
     #[test]
     fn parallel_exact_matches_baseline_via_memory_store() {
         let c = small_collection();
         let b = 50;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
+        let sketch = SketchSet::build(&c, b).unwrap();
         let eng = engine(4, SketchMethod::Exact);
-        let report = eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        assert_eq!(report.pairs, c.pair_count());
-        assert!(report.wall_time > Duration::ZERO);
-
         let (matrix, qreport) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+            .query(&sketch, 0..sketch.window_count(), QueryMethod::Exact)
             .unwrap();
         assert_eq!(qreport.pairs, c.pair_count());
         let query = QueryWindow::new(599, 600).unwrap();
@@ -1071,18 +917,16 @@ mod tests {
         let c = small_collection();
         let b = 60;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let mut dir = std::env::temp_dir();
-        dir.push(format!("tsubasa-parallel-test-{}", std::process::id()));
-        let store = Arc::new(DiskSketchStore::create(&dir, layout).unwrap());
         let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (matrix, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+        let stored = sketch_pile(&eng, &c, b, "baseline");
+        assert!(stored.pile.space_bytes() > 0);
+        let (matrix, report) = eng
+            .query(&stored.pile, 0..layout.n_windows, QueryMethod::Exact)
             .unwrap();
+        assert_eq!(report.pairs, c.pair_count());
         let query = QueryWindow::new(599, 600).unwrap();
         let direct = baseline::correlation_matrix(&c, query).unwrap();
         assert!(matrix.max_abs_diff(&direct) < 1e-9);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1091,29 +935,34 @@ mod tests {
         let b = 50;
         let coeff = 20;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(
             4,
             SketchMethod::Dft {
                 coefficients: coeff,
             },
         );
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let stored = sketch_pile(&eng, &c, b, "dft-serial");
+        // The DFT sketch stores estimates only: no correlation table.
+        assert_eq!(stored.pile.exact_query_windows(), 0);
+        assert_eq!(stored.pile.approx_query_windows(), layout.n_windows);
 
         let serial = DftSketchSet::build(&c, b, coeff, Transform::Naive).unwrap();
-        for (i, j) in c.pairs() {
-            let stored = store.read_pair(i, j, 0..layout.n_windows).unwrap();
+        let ests = stored
+            .pile
+            .pair_table(0..layout.n_windows, SegmentKind::PairEsts)
+            .unwrap();
+        for (p, (i, j)) in c.pairs().enumerate() {
             let expected = serial.pair_distances(i, j).unwrap();
-            for (r, e) in stored.iter().zip(expected) {
-                assert!((r.dft_dist - e).abs() < 1e-9);
-                assert!(r.corr.is_nan());
+            for (w, d) in expected.iter().enumerate() {
+                let est = ests.view().window_row(w)[p];
+                assert!((est - (1.0 - d * d / 2.0)).abs() < 1e-9);
             }
         }
 
-        // Approximate query over the stored distances equals the serial
+        // Approximate query over the stored estimates equals the serial
         // Equation 5 path.
         let (matrix, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Approximate)
+            .query(&stored.pile, 0..layout.n_windows, QueryMethod::Approximate)
             .unwrap();
         let serial_matrix = tsubasa_dft::approx::approximate_correlation_matrix(
             &serial,
@@ -1131,11 +980,10 @@ mod tests {
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
         let mut matrices = Vec::new();
         for workers in [1, 2, 5] {
-            let store = Arc::new(MemorySketchStore::new(layout));
             let eng = engine(workers, SketchMethod::Exact);
-            eng.sketch_to_store(&c, b, store.clone()).unwrap();
+            let stored = sketch_pile(&eng, &c, b, &format!("workers-{workers}"));
             let (m, report) = eng
-                .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+                .query(&stored.pile, 0..layout.n_windows, QueryMethod::Exact)
                 .unwrap();
             assert_eq!(report.workers, workers);
             matrices.push(m);
@@ -1149,17 +997,16 @@ mod tests {
         let c = small_collection();
         let b = 100;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(3, SketchMethod::Exact);
         assert_eq!(eng.pool().size(), 3);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let stored = sketch_pile(&eng, &c, b, "pool");
         // Repeated queries run on the same pool threads and agree exactly.
         let (first, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
+            .query(&stored.pile, 0..layout.n_windows, QueryMethod::Exact)
             .unwrap();
         for _ in 0..3 {
             let (again, report) = eng
-                .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
+                .query(&stored.pile, 0..layout.n_windows, QueryMethod::Exact)
                 .unwrap();
             assert_eq!(first, again);
             assert_eq!(report.workers, 3);
@@ -1171,20 +1018,15 @@ mod tests {
         let c = small_collection();
         let b = 50;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let stored = sketch_pile(&eng, &c, b, "network");
+        let pile = &stored.pile;
         let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
+            .query(pile, 0..layout.n_windows, QueryMethod::Exact)
             .unwrap();
         for theta in [-0.2, 0.0, 0.4, 0.85] {
             let (streamed, report) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Exact,
-                    theta,
-                )
+                .network(pile, 0..layout.n_windows, QueryMethod::Exact, theta)
                 .unwrap();
             assert_eq!(report.pairs, c.pair_count());
             assert_eq!(
@@ -1195,7 +1037,7 @@ mod tests {
             assert_eq!(streamed.nan_pair_count(), 0);
         }
         assert!(eng
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Exact, 1.5)
+            .network(pile, 0..layout.n_windows, QueryMethod::Exact, 1.5)
             .is_err());
     }
 
@@ -1204,20 +1046,15 @@ mod tests {
         let c = small_collection();
         let b = 60;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let stored = sketch_pile(&eng, &c, b, "approx-network");
+        let pile = &stored.pile;
         let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Approximate)
+            .query(pile, 0..layout.n_windows, QueryMethod::Approximate)
             .unwrap();
         for theta in [0.0, 0.5, 0.99] {
             let (streamed, _) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    theta,
-                )
+                .network(pile, 0..layout.n_windows, QueryMethod::Approximate, theta)
                 .unwrap();
             // Chunk pruning may skip reads, never edges: the edge set equals
             // the dense strict threshold exactly.
@@ -1235,11 +1072,11 @@ mod tests {
         let b = 50;
         let n = c.len();
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(4, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let stored = sketch_pile(&eng, &c, b, "top-k");
+        let pile = &stored.pile;
         let (dense, _) = eng
-            .query_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact)
+            .query(pile, 0..layout.n_windows, QueryMethod::Exact)
             .unwrap();
         let mut all: Vec<(usize, usize, f64)> = dense.iter_pairs().collect();
         all.sort_by(|x, y| {
@@ -1248,7 +1085,7 @@ mod tests {
         });
         for k in [0, 1, 7, 45, 100] {
             let (top, _) = eng
-                .top_k_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact, k)
+                .top_k(pile, 0..layout.n_windows, QueryMethod::Exact, k)
                 .unwrap();
             assert_eq!(top.edges.len(), k.min(all.len()), "k={k}");
             for (got, want) in top.edges.iter().zip(&all) {
@@ -1259,28 +1096,59 @@ mod tests {
     }
 
     #[test]
-    fn method_mismatched_store_is_audited_not_silent() {
-        // Sketch with the DFT method, query with Exact: every stored `corr`
-        // field is NaN, the kernel clamps them to 0.0 (so the edge set is the
-        // degenerate empty/full one), and the streamed path reports every
-        // pair in the NaN audit instead of silently producing a
-        // plausible-looking network.
+    fn method_mismatched_pile_is_rejected_not_silent() {
+        // Sketch with the DFT method, query with Exact: the pile holds no
+        // correlation table, so every query kind is a typed mismatch instead
+        // of a plausible-looking answer recombined from missing windows.
         let c = small_collection();
         let b = 60;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        let (streamed, _) = eng
-            .network_from_store(store.clone(), 0..layout.n_windows, QueryMethod::Exact, 0.5)
-            .unwrap();
-        assert_eq!(streamed.nan_pair_count(), c.pair_count());
-        assert_eq!(streamed.edge_count(), 0);
-        // The matched method on the same store is clean.
+        let stored = sketch_pile(&eng, &c, b, "mismatch");
+        let pile = &stored.pile;
+        let all = 0..layout.n_windows;
+        assert!(eng.query(pile, all.clone(), QueryMethod::Exact).is_err());
+        assert!(eng
+            .network(pile, all.clone(), QueryMethod::Exact, 0.5)
+            .is_err());
+        assert!(eng.top_k(pile, all.clone(), QueryMethod::Exact, 3).is_err());
+        // The matched method on the same pile is clean.
         let (ok, _) = eng
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
+            .network(pile, all, QueryMethod::Approximate, 0.5)
             .unwrap();
         assert_eq!(ok.nan_pair_count(), 0);
+    }
+
+    #[test]
+    fn chunked_sweep_is_bit_identical_to_full_table_sweep() {
+        let c = small_collection();
+        let b = 60;
+        let layout = ParallelEngine::layout_for(&c, b).unwrap();
+        for (method, qm) in [
+            (SketchMethod::Exact, QueryMethod::Exact),
+            (
+                SketchMethod::Dft { coefficients: 10 },
+                QueryMethod::Approximate,
+            ),
+        ] {
+            let eng = engine(3, method);
+            let stored = sketch_pile(&eng, &c, b, &format!("chunked-{qm:?}"));
+            let full = &stored.pile;
+            let chunked = ChunkedOnly(full);
+            for windows in [0..layout.n_windows, 1..layout.n_windows - 1] {
+                let (m_full, _) = eng.query(full, windows.clone(), qm).unwrap();
+                let (m_chunked, _) = eng.query(&chunked, windows.clone(), qm).unwrap();
+                assert_eq!(m_full, m_chunked, "{qm:?} {windows:?}");
+                for theta in [0.0, 0.6] {
+                    let (e_full, _) = eng.network(full, windows.clone(), qm, theta).unwrap();
+                    let (e_chunked, _) = eng.network(&chunked, windows.clone(), qm, theta).unwrap();
+                    assert_eq!(e_full.edges(), e_chunked.edges(), "{qm:?} θ={theta}");
+                }
+                let (t_full, _) = eng.top_k(full, windows.clone(), qm, 7).unwrap();
+                let (t_chunked, _) = eng.top_k(&chunked, windows.clone(), qm, 7).unwrap();
+                assert_eq!(t_full.edges, t_chunked.edges, "{qm:?} {windows:?}");
+            }
+        }
     }
 
     #[test]
@@ -1289,8 +1157,8 @@ mod tests {
         // (zero-mean oscillation, `s ≈ 1, t ≈ 0`), series 2–3 put it
         // *between* windows (staircase, `s ≈ 0, t ≈ 1`). A cross-group pair
         // then has Equation 4 bound `s_i s_j + t_i t_j ≈ 0`, so its chunk is
-        // pruned before the store is read — and a NaN planted there is
-        // invisible to the default audit.
+        // pruned before its table columns are read — and a NaN planted there
+        // is invisible to the default audit.
         let len = 120;
         let b = 20;
         let c = SeriesCollection::from_rows(
@@ -1310,162 +1178,106 @@ mod tests {
         )
         .unwrap();
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = ParallelEngine::new(ParallelConfig {
             workers: 2,
             batch_pairs: 1, // isolate every pair in its own chunk
             sketch_method: SketchMethod::Dft { coefficients: 10 },
             audit_pruned_chunks: false,
         });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
+        let clean = sketch_pile(&eng, &c, b, "prune-clean");
 
-        // Plant NaN in the recombined field of cross-group pair (0, 3).
-        let poison: Vec<PairWindowRecord> = (0..layout.n_windows)
-            .map(|w| PairWindowRecord {
-                a: 0,
-                b: 3,
-                window: w as u32,
-                corr: f64::NAN,
-                dft_dist: f64::NAN,
-            })
-            .collect();
-        store.write_pairs(&poison).unwrap();
-
-        let (silent, _) = eng
-            .network_from_store(
-                store.clone(),
-                0..layout.n_windows,
-                QueryMethod::Approximate,
-                0.5,
-            )
-            .unwrap();
-        // The poisoned chunk was pruned before being read: the NaN goes
-        // uncounted by default.
-        assert_eq!(silent.nan_pair_count(), 0);
+        // Plant NaN in every window of cross-group pair (0, 3).
+        let planted = pair_index(0, 3, c.len());
+        let poisoned = copy_pile(&clean.pile, SegmentKind::PairEsts, "prune-nan", |_, row| {
+            row[planted] = f64::NAN
+        });
+        let pile = &poisoned.pile;
 
         let auditor = ParallelEngine::new(ParallelConfig {
             audit_pruned_chunks: true,
             ..eng.config()
         });
-        let (audited, _) = auditor
-            .network_from_store(store, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
-            .unwrap();
-        assert_eq!(audited.nan_pair_count(), 1);
-        // The audit changes accounting only, never the edge set.
-        assert_eq!(audited.edges(), silent.edges());
-    }
+        // The full-table and chunked sweeps share the audit policy.
+        for chunked in [false, true] {
+            let source: &dyn CorrSource = if chunked { &ChunkedOnly(pile) } else { pile };
+            let (silent, _) = eng
+                .network(source, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
+                .unwrap();
+            // The poisoned chunk was pruned before being read: the NaN goes
+            // uncounted by default.
+            assert_eq!(silent.nan_pair_count(), 0, "chunked={chunked}");
 
-    #[test]
-    fn sketch_rejects_mismatched_store_layout() {
-        let c = small_collection();
-        let wrong = StoreLayout {
-            n_series: 3,
-            n_windows: 2,
-            basic_window: 10,
-        };
-        let store = Arc::new(MemorySketchStore::new(wrong));
-        let eng = engine(2, SketchMethod::Exact);
-        assert!(eng.sketch_to_store(&c, 50, store).is_err());
+            let (audited, _) = auditor
+                .network(source, 0..layout.n_windows, QueryMethod::Approximate, 0.5)
+                .unwrap();
+            assert_eq!(audited.nan_pair_count(), 1, "chunked={chunked}");
+            // The audit changes accounting only, never the edge set.
+            assert_eq!(audited.edges(), silent.edges(), "chunked={chunked}");
+        }
     }
 
     #[test]
     fn query_rejects_bad_window_range() {
         let c = small_collection();
         let b = 100;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(2, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-        assert!(eng
-            .query_from_store(store.clone(), 0..0, QueryMethod::Exact)
-            .is_err());
-        assert!(eng
-            .query_from_store(store, 0..99, QueryMethod::Exact)
-            .is_err());
-    }
-
-    fn temp_pile(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "tsubasa-engine-pile-{}-{tag}.pile",
-            std::process::id()
-        ))
+        let stored = sketch_pile(&eng, &c, b, "bad-range");
+        assert!(eng.query(&stored.pile, 0..0, QueryMethod::Exact).is_err());
+        assert!(eng.query(&stored.pile, 0..99, QueryMethod::Exact).is_err());
     }
 
     #[test]
-    fn pile_query_is_bit_identical_to_record_store_query() {
+    fn pile_query_is_bit_identical_to_memory_query() {
+        // An in-memory twin built from the pile's own rows: the two backends
+        // carry the same window values, so the mapped and in-memory query
+        // paths must agree to the bit.
         let c = small_collection();
         let b = 50;
         let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
         let eng = engine(3, SketchMethod::Exact);
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-
-        let path = temp_pile("agree-exact");
-        let writer = PileWriter::create(&path, c.len(), b).unwrap();
-        let (sreport, pile) = eng.sketch_to_pile(&c, b, writer).unwrap();
-        assert_eq!(sreport.pairs, c.pair_count());
+        let stored = sketch_pile(&eng, &c, b, "agree-exact");
+        let pile = &stored.pile;
         assert_eq!(pile.exact_query_windows(), layout.n_windows);
 
-        let (from_store, _) = eng
-            .query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)
+        let all = 0..layout.n_windows;
+        let stats = pile.series_stats(all.clone()).unwrap();
+        let table = pile
+            .pair_table(all.clone(), SegmentKind::PairCorrs)
             .unwrap();
-        let (from_pile, qreport) = eng
-            .query_from_pile(&pile, 0..layout.n_windows, QueryMethod::Exact)
-            .unwrap();
-        assert_eq!(from_store, from_pile);
+        let series = stats
+            .into_iter()
+            .enumerate()
+            .map(|(series, windows)| tsubasa_core::SeriesSketch { series, windows })
+            .collect();
+        let pairs = c
+            .pairs()
+            .enumerate()
+            .map(|(p, (a, b))| tsubasa_core::PairSketch {
+                a,
+                b,
+                corrs: all.clone().map(|w| table.view().window_row(w)[p]).collect(),
+            })
+            .collect();
+        let twin = SketchSet::from_parts(b, c.len(), series, pairs).unwrap();
+
+        let (from_memory, _) = eng.query(&twin, all.clone(), QueryMethod::Exact).unwrap();
+        let (from_pile, qreport) = eng.query(pile, all.clone(), QueryMethod::Exact).unwrap();
+        assert_eq!(from_memory, from_pile);
         assert_eq!(qreport.pairs, c.pair_count());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pile_network_and_top_k_match_store_paths() {
-        let c = small_collection();
-        let b = 60;
-        let layout = ParallelEngine::layout_for(&c, b).unwrap();
-        let store = Arc::new(MemorySketchStore::new(layout));
-        let eng = engine(2, SketchMethod::Dft { coefficients: 10 });
-        eng.sketch_to_store(&c, b, store.clone()).unwrap();
-
-        let path = temp_pile("agree-approx");
-        let writer = PileWriter::create(&path, c.len(), b).unwrap();
-        let (_, pile) = eng.sketch_to_pile(&c, b, writer).unwrap();
-        assert_eq!(pile.approx_query_windows(), layout.n_windows);
-        assert_eq!(pile.exact_query_windows(), 0);
-
-        for theta in [0.0, 0.5, 0.99] {
-            let (from_store, _) = eng
-                .network_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    theta,
-                )
+        for theta in [0.0, 0.5] {
+            let (e_memory, _) = eng
+                .network(&twin, all.clone(), QueryMethod::Exact, theta)
                 .unwrap();
-            let (from_pile, _) = eng
-                .network_from_pile(&pile, 0..layout.n_windows, QueryMethod::Approximate, theta)
+            let (e_pile, _) = eng
+                .network(pile, all.clone(), QueryMethod::Exact, theta)
                 .unwrap();
-            assert_eq!(from_pile.edges(), from_store.edges(), "theta={theta}");
+            assert_eq!(e_pile.edges(), e_memory.edges(), "theta={theta}");
         }
-        for k in [0, 3, 17] {
-            let (from_store, _) = eng
-                .top_k_from_store(
-                    store.clone(),
-                    0..layout.n_windows,
-                    QueryMethod::Approximate,
-                    k,
-                )
-                .unwrap();
-            let (from_pile, _) = eng
-                .top_k_from_pile(&pile, 0..layout.n_windows, QueryMethod::Approximate, k)
-                .unwrap();
-            assert_eq!(from_pile.edges, from_store.edges, "k={k}");
-        }
-        // The pile has no correlation table under the DFT sketch method:
-        // exact queries are a typed mismatch, not silent NaNs.
-        assert!(eng
-            .query_from_pile(&pile, 0..layout.n_windows, QueryMethod::Exact)
-            .is_err());
-        std::fs::remove_file(&path).ok();
+        let (t_memory, _) = eng
+            .top_k(&twin, all.clone(), QueryMethod::Exact, 17)
+            .unwrap();
+        let (t_pile, _) = eng.top_k(pile, all, QueryMethod::Exact, 17).unwrap();
+        assert_eq!(t_pile.edges, t_memory.edges);
     }
 
     #[test]
@@ -1489,7 +1301,7 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ParallelConfig::default();
         assert!(cfg.workers >= 1);
-        assert!(cfg.batch_pairs >= 1);
+        assert_eq!(cfg.batch_pairs, DEFAULT_BATCH_PAIRS);
         assert_eq!(cfg.sketch_method, SketchMethod::Exact);
     }
 }

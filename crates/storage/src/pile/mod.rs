@@ -1,14 +1,12 @@
-//! The memory-mapped, append-only sketch **pile** (ROADMAP item 4).
+//! The memory-mapped, append-only sketch **pile**: the crate's one on-disk
+//! sketch format.
 //!
-//! [`crate::DiskSketchStore`] pays a seek per window range and a per-record
-//! `bytes` decode into [`crate::PairWindowRecord`] vecs before the query
-//! engine can transpose them into kernel tiles. The pile removes both costs
-//! by storing sketches *in the exact in-memory layout the query kernel
+//! The pile stores sketches *in the exact in-memory layout the query kernel
 //! consumes*: window-major `f64` tables (`row[k][p]` is window `k` of packed
 //! pair `p` — the `window_corrs` flat-table layout), so a reader maps the
 //! file and hands out zero-copy `CorrView`-style borrows straight into the
-//! tiled sweep. No deserialize, no intermediate record vecs, and sketch sets
-//! are no longer capped at RAM.
+//! tiled sweep. No deserialize, no per-record decode or transpose, and sketch
+//! sets are not capped at RAM.
 //!
 //! # File format
 //!
@@ -70,9 +68,6 @@ use tsubasa_core::error::{Error, Result};
 use tsubasa_core::plan::{CorrView, PlanMethod, TransposedCorrs};
 use tsubasa_core::source::{CorrSource, PairTable};
 use tsubasa_core::stats::WindowStats;
-
-use crate::store::StoreLayout;
-use crate::writer::SyncPolicy;
 
 pub use map::PileMap;
 
@@ -137,15 +132,61 @@ fn pair_count(n: usize) -> usize {
     n * n.saturating_sub(1) / 2
 }
 
-/// FNV-1a 64-bit over a byte slice — the per-segment payload checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// The regular shape of a sketch: everything is addressed by
+/// `(series, window)` or `(pair, window)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreLayout {
+    /// Number of series.
+    pub n_series: usize,
+    /// Number of basic windows per series.
+    pub n_windows: usize,
+    /// Basic-window size the sketches were computed with.
+    pub basic_window: usize,
+}
+
+impl StoreLayout {
+    /// Number of unordered series pairs.
+    pub fn n_pairs(&self) -> usize {
+        pair_count(self.n_series)
+    }
+}
+
+/// When the database worker ([`PileBatchWriter`]) forces appended segments
+/// down to the device.
+///
+/// [`SyncPolicy::OnSwap`] bounds the crash-loss window to one append at the
+/// cost of an `fdatasync` per coalesced segment; the default syncs once, at
+/// shutdown. Either way the number of syncs actually issued is surfaced in
+/// [`PileWriterStats::syncs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SyncPolicy {
+    /// Sync once, when the writer drains the channel and shuts down.
+    #[default]
+    OnShutdown,
+    /// Sync after every segment append, plus the final one at shutdown.
+    OnSwap,
+}
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64-bit hash over more bytes.
+fn fnv1a64_update(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
+
+/// FNV-1a 64-bit over a byte slice — the per-segment payload checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_update(FNV_OFFSET, bytes)
+}
+
+/// Values per scratch buffer when encoding a payload (512 KiB): a segment of
+/// any size is written with bounded extra memory.
+const ENCODE_CHUNK_VALUES: usize = 1 << 16;
 
 fn read_u32(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
@@ -391,24 +432,44 @@ impl PileWriter {
     /// segment's `first_window` is the writer's current coverage for the
     /// kind. Returns the number of windows appended; empty input is a no-op.
     pub fn append(&mut self, kind: SegmentKind, rows: &[f64]) -> Result<usize> {
-        if rows.is_empty() {
+        self.append_runs(kind, &[rows])
+    }
+
+    /// [`PileWriter::append`] with the segment's rows given as consecutive
+    /// runs (their concatenation is the payload), so a segment can be
+    /// assembled from several source slices without gathering them first.
+    fn append_runs(&mut self, kind: SegmentKind, runs: &[&[f64]]) -> Result<usize> {
+        let len: usize = runs.iter().map(|r| r.len()).sum();
+        if len == 0 {
             return Ok(0);
         }
         let row_values = kind.row_values(self.n_series);
-        if row_values == 0 || !rows.len().is_multiple_of(row_values) {
+        if row_values == 0 || !len.is_multiple_of(row_values) {
             return Err(Error::Storage(format!(
-                "pile append of {} values is not a whole number of {row_values}-value rows",
-                rows.len()
+                "pile append of {len} values is not a whole number of {row_values}-value rows"
             )));
         }
-        let n_windows = rows.len() / row_values;
-        let payload_len = rows.len() * 8;
+        let n_windows = len / row_values;
+        let payload_len = len * 8;
 
-        self.scratch.clear();
-        self.scratch.reserve(payload_len);
-        for v in rows {
-            self.scratch.extend_from_slice(&v.to_le_bytes());
+        // Stream the payload in bounded chunks behind a zeroed placeholder
+        // header (an invalid segment if a crash tears the append), then
+        // fill in the header once the checksum is known.
+        let io_err = |e: std::io::Error| Error::Storage(format!("pile append: {e}"));
+        self.file
+            .write_all(&[0u8; SEG_HEADER_LEN])
+            .map_err(io_err)?;
+        let mut checksum = FNV_OFFSET;
+        for chunk in runs.iter().flat_map(|r| r.chunks(ENCODE_CHUNK_VALUES)) {
+            self.scratch.clear();
+            for v in chunk {
+                self.scratch.extend_from_slice(&v.to_le_bytes());
+            }
+            checksum = fnv1a64_update(checksum, &self.scratch);
+            self.file.write_all(&self.scratch).map_err(io_err)?;
         }
+        let pad = pad8(payload_len) - payload_len;
+        self.file.write_all(&[0u8; 8][..pad]).map_err(io_err)?;
 
         let mut header = [0u8; SEG_HEADER_LEN];
         header[..4].copy_from_slice(&SEG_MAGIC);
@@ -416,20 +477,15 @@ impl PileWriter {
         header[8..16].copy_from_slice(&(self.coverage[kind.index()] as u64).to_le_bytes());
         header[16..24].copy_from_slice(&(n_windows as u64).to_le_bytes());
         header[24..32].copy_from_slice(&(payload_len as u64).to_le_bytes());
-        header[32..40].copy_from_slice(&fnv1a64(&self.scratch).to_le_bytes());
-
+        header[32..40].copy_from_slice(&checksum.to_le_bytes());
+        let seg_end = self.end + (SEG_HEADER_LEN + pad8(payload_len)) as u64;
         self.file
-            .write_all(&header)
-            .and_then(|_| self.file.write_all(&self.scratch))
-            .map_err(|e| Error::Storage(format!("pile append: {e}")))?;
-        let pad = pad8(payload_len) - payload_len;
-        if pad > 0 {
-            self.file
-                .write_all(&[0u8; 8][..pad])
-                .map_err(|e| Error::Storage(format!("pile append pad: {e}")))?;
-        }
+            .seek(SeekFrom::Start(self.end))
+            .and_then(|_| self.file.write_all(&header))
+            .and_then(|_| self.file.seek(SeekFrom::Start(seg_end)))
+            .map_err(io_err)?;
         self.coverage[kind.index()] += n_windows;
-        self.end += (SEG_HEADER_LEN + pad8(payload_len)) as u64;
+        self.end = seg_end;
         Ok(n_windows)
     }
 
@@ -561,8 +617,8 @@ impl SketchPile {
         self.exact_query_windows().max(self.approx_query_windows())
     }
 
-    /// The equivalent record-store layout (using [`SketchPile::window_count`]
-    /// as the window count).
+    /// The pile's sketch shape (using [`SketchPile::window_count`] as the
+    /// window count).
     pub fn layout(&self) -> StoreLayout {
         StoreLayout {
             n_series: self.index.n_series,
@@ -708,21 +764,16 @@ impl SketchPile {
                 continue;
             }
             segments_after += 1;
-            let row_values = kind.row_values(src.n_series());
-            // Bound the copy buffer: rewrite in chunks of whole windows.
-            let chunk_windows = (1usize << 20) / (row_values * 8).max(1);
-            let chunk_windows = chunk_windows.clamp(1, total);
-            let mut start = 0;
-            let mut buf = Vec::with_capacity(chunk_windows * row_values);
-            while start < total {
-                let end = (start + chunk_windows).min(total);
-                buf.clear();
-                for (off, n_windows) in src.row_runs(kind, &(start..end)) {
-                    buf.extend_from_slice(src.map.f64s(off, n_windows * row_values)?);
-                }
-                writer.append(kind, &buf)?;
-                start = end;
-            }
+            // One segment per kind, written straight from the mapped runs.
+            let runs = src
+                .row_runs(kind, &(0..total))
+                .into_iter()
+                .map(|(off, n_windows)| {
+                    src.map
+                        .f64s(off, n_windows * kind.row_values(src.n_series()))
+                })
+                .collect::<Result<Vec<_>>>()?;
+            writer.append_runs(kind, &runs)?;
         }
         let bytes_after = writer.len_bytes();
         writer.finish()?;
@@ -836,14 +887,16 @@ pub struct PileWriterStats {
     pub values: usize,
     /// Wall-clock time inside pile writes.
     pub write_time: Duration,
-    /// Durability syncs issued per the configured [`SyncPolicy`].
+    /// Durability syncs issued per the configured [`SyncPolicy`]:
+    /// `appends + 1` under [`SyncPolicy::OnSwap`], `1` under
+    /// [`SyncPolicy::OnShutdown`].
     pub syncs: usize,
 }
 
 /// The pile backend of the database worker: a thread draining window-major
 /// [`PileSlab`]s from a bounded channel, coalescing consecutive same-kind
-/// slabs, and appending them as pile segments — the pile-flavored sibling of
-/// [`crate::BatchWriter`]. Slabs must be sent in window order per kind
+/// slabs, and appending them as pile segments. Slabs must be sent in window
+/// order per kind
 /// (single producer or externally ordered); the channel preserves that order.
 pub struct PileBatchWriter {
     sender: Option<Sender<PileSlab>>,
@@ -1205,6 +1258,39 @@ mod tests {
     }
 
     #[test]
+    fn compaction_writes_one_segment_per_kind_past_the_encode_chunk() {
+        // A pair row longer than the encode chunk: every segment is written
+        // in several chunks, and compaction must still coalesce each kind
+        // into a single zero-copy segment.
+        let path = temp_pile("compact-large");
+        let n = 400;
+        let pairs = pair_count(n);
+        assert!(pairs > ENCODE_CHUNK_VALUES);
+        let mut writer = PileWriter::create(&path, n, 8).unwrap();
+        for w in 0..2 {
+            writer
+                .append(SegmentKind::SeriesStats, &stats_row(n, w))
+                .unwrap();
+            writer
+                .append(SegmentKind::PairCorrs, &corr_row(pairs, w))
+                .unwrap();
+        }
+        writer.finish().unwrap();
+
+        let report = SketchPile::compact(&path).unwrap();
+        assert_eq!(report.segments_before, 4);
+        assert_eq!(report.segments_after, 2);
+        let pile = SketchPile::open(&path).unwrap();
+        assert_eq!(pile.segment_count(), 2);
+        let table = pile.pair_table(0..2, SegmentKind::PairCorrs).unwrap();
+        assert!(table.is_zero_copy());
+        for w in 0..2 {
+            assert_eq!(table.view().window_row(w), &corr_row(pairs, w)[..]);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn batch_writer_coalesces_same_kind_slabs_in_order() {
         let path = temp_pile("batch");
         let pairs = pair_count(4);
@@ -1220,7 +1306,7 @@ mod tests {
         assert_eq!(stats.slabs, 5);
         assert!(stats.appends <= stats.slabs);
         assert_eq!(stats.values, 4 * 3 + 4 * pairs);
-        assert!(stats.syncs >= stats.appends, "OnSwap syncs per append");
+        assert_eq!(stats.syncs, stats.appends + 1, "OnSwap syncs per append");
 
         let pile = writer.into_pile().unwrap();
         assert_eq!(pile.windows(SegmentKind::SeriesStats), 1);
@@ -1234,6 +1320,102 @@ mod tests {
                 &corr_row(pairs, w)[..]
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Run the threaded writer over three one-window stats slabs and return
+    /// its statistics plus the syncs the underlying [`PileWriter`] counted.
+    fn drain_three_stats_slabs(
+        tag: &str,
+        batch: impl FnOnce(PileWriter) -> PileBatchWriter,
+    ) -> (PileWriterStats, usize) {
+        let path = temp_pile(tag);
+        let batch = batch(PileWriter::create(&path, 4, 8).unwrap());
+        let tx = batch.sender();
+        for w in 0..3 {
+            tx.send(PileSlab::Stats(stats_row(4, w))).unwrap();
+        }
+        drop(tx);
+        let (stats, writer) = batch.finish().unwrap();
+        let writer_syncs = writer.syncs();
+        assert_eq!(
+            writer
+                .into_pile()
+                .unwrap()
+                .windows(SegmentKind::SeriesStats),
+            3
+        );
+        std::fs::remove_file(&path).ok();
+        (stats, writer_syncs)
+    }
+
+    #[test]
+    fn durability_on_swap_syncs_every_append_plus_shutdown() {
+        // Coalescing limit 1: every drained slab is its own append, so the
+        // append (and with it the sync) count is deterministic regardless
+        // of producer timing.
+        let (stats, writer_syncs) = drain_three_stats_slabs("on-swap", |w| {
+            PileBatchWriter::spawn_with(w, 4, 1, SyncPolicy::OnSwap)
+        });
+        assert_eq!(stats.appends, 3);
+        assert_eq!(stats.syncs, 4);
+        assert_eq!(writer_syncs, stats.syncs);
+    }
+
+    #[test]
+    fn durability_on_shutdown_syncs_exactly_once() {
+        let (stats, writer_syncs) = drain_three_stats_slabs("on-shutdown", |w| {
+            PileBatchWriter::spawn_with(w, 4, 1, SyncPolicy::OnShutdown)
+        });
+        assert_eq!(stats.appends, 3);
+        assert_eq!(stats.syncs, 1, "one sync at shutdown");
+        assert_eq!(writer_syncs, 1);
+    }
+
+    #[test]
+    fn default_spawn_keeps_on_shutdown_durability() {
+        let (stats, writer_syncs) =
+            drain_three_stats_slabs("default-spawn", |w| PileBatchWriter::spawn(w, 2));
+        assert_eq!(stats.slabs, 3);
+        assert_eq!(stats.syncs, 1);
+        assert_eq!(writer_syncs, 1);
+    }
+
+    #[test]
+    fn batch_writer_takes_one_producer_per_kind_from_many_threads() {
+        let path = temp_pile("threads");
+        let n = 4;
+        let pairs = pair_count(n);
+        let batch = PileBatchWriter::spawn(PileWriter::create(&path, n, 8).unwrap(), 2);
+        let slabs = [
+            PileSlab::Stats(stats_row(n, 0)),
+            PileSlab::Corrs(corr_row(pairs, 0)),
+            PileSlab::Ests(corr_row(pairs, 1)),
+        ];
+        let threads: Vec<_> = slabs
+            .into_iter()
+            .map(|slab| {
+                let tx = batch.sender();
+                std::thread::spawn(move || tx.send(slab).unwrap())
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let (stats, writer) = batch.finish().unwrap();
+        assert_eq!(stats.slabs, 3);
+        assert_eq!(stats.values, n * 3 + 2 * pairs);
+        let pile = writer.into_pile().unwrap();
+        for kind in SegmentKind::ALL {
+            assert_eq!(pile.windows(kind), 1, "{kind:?}");
+        }
+        assert_eq!(
+            pile.pair_table(0..1, SegmentKind::PairEsts)
+                .unwrap()
+                .view()
+                .window_row(0),
+            &corr_row(pairs, 1)[..]
+        );
         std::fs::remove_file(&path).ok();
     }
 

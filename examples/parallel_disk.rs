@@ -1,18 +1,16 @@
 //! Parallel, disk-based TSUBASA: sketch a gridded dataset into an on-disk
-//! sketch store with many computation workers plus one database worker, then
-//! rebuild the correlation matrix from the store — the configuration of the
-//! paper's scalability experiments (Figure 6).
+//! sketch pile with many computation workers plus one database worker, then
+//! rebuild the correlation matrix from the mapped pile — the configuration
+//! of the paper's scalability experiments (Figure 6).
 //!
 //! ```bash
 //! cargo run --release --example parallel_disk
 //! ```
 
-use std::sync::Arc;
-
 use tsubasa::core::prelude::*;
 use tsubasa::data::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
-use tsubasa::storage::{DiskSketchStore, SketchStore};
+use tsubasa::storage::PileWriter;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Berkeley-Earth-like grid, scaled to laptop size.
@@ -29,8 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let layout = ParallelEngine::layout_for(&collection, basic_window)?;
-    let dir = std::env::temp_dir().join(format!("tsubasa-parallel-example-{}", std::process::id()));
-    let store: Arc<dyn SketchStore> = Arc::new(DiskSketchStore::create(&dir, layout)?);
+    let path = std::env::temp_dir().join(format!(
+        "tsubasa-parallel-example-{}.pile",
+        std::process::id()
+    ));
 
     let workers = std::thread::available_parallelism()?
         .get()
@@ -44,19 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     // --- Sketch phase: computation workers + one database writer -----------
-    let report = engine.sketch_to_store(&collection, basic_window, store.clone())?;
+    let writer = PileWriter::create(&path, collection.len(), basic_window)?;
+    let (report, pile) = engine.sketch_to_pile(&collection, basic_window, writer)?;
     println!(
         "sketch: {} pairs on {} workers | compute {:?} (sum) | db write {:?} | wall {:?}",
         report.pairs, report.workers, report.compute_time, report.write_time, report.wall_time
     );
     println!(
-        "sketch store size on disk: {} KiB",
-        store.space_bytes() / 1024
+        "sketch pile size on disk: {} KiB",
+        pile.space_bytes() / 1024
     );
 
-    // --- Query phase: read sketches back and build the matrix --------------
-    let (matrix, qreport) =
-        engine.query_from_store(store, 0..layout.n_windows, QueryMethod::Exact)?;
+    // --- Query phase: sweep the mapped sketches and build the matrix -------
+    let (matrix, qreport) = engine.query(&pile, 0..layout.n_windows, QueryMethod::Exact)?;
     println!(
         "query:  db read {:?} (sum) | matrix calc {:?} (sum) | wall {:?}",
         qreport.read_time, qreport.compute_time, qreport.wall_time
@@ -79,6 +79,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         matrix.max_abs_diff(&direct)
     );
 
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
     Ok(())
 }

@@ -1,8 +1,8 @@
 //! Cross-backend [`CorrSource`] agreement grid.
 //!
-//! The tentpole invariant of the unified query pipeline: every backend —
-//! in-memory sketches, the record store, the mapped pile, and the pile with
-//! mmap disabled (`TSUBASA_PILE_NO_MMAP=1`) — answers matrix, network, and
+//! The invariant of the unified query pipeline: every backend — in-memory
+//! sketches, the mapped pile, and the pile with mmap disabled
+//! (`TSUBASA_PILE_NO_MMAP=1`) — answers matrix, network, and
 //! top-k queries **bit-identically** under both query methods, at any worker
 //! count. The engine's `query`/`network`/`top_k` are written once against
 //! the trait, so this grid is the proof that the per-backend adapters feed
@@ -12,13 +12,11 @@
 
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use tsubasa::core::prelude::*;
 use tsubasa::parallel::{ParallelConfig, ParallelEngine, QueryMethod, SketchMethod};
 use tsubasa::serve::mirror_sketches_to_pile;
-use tsubasa::storage::store::persist_sketchset;
-use tsubasa::storage::{MemorySketchStore, PileWriter, SketchPile, SketchStore};
+use tsubasa::storage::{PileWriter, SketchPile};
 use tsubasa_dft::sketch::{DftSketchSet, Transform};
 
 const WINDOWS: usize = 4;
@@ -100,12 +98,10 @@ fn assert_source_matches<S: CorrSource + ?Sized>(
 /// `ParallelConfig::audit_pruned_chunks` must behave identically on every
 /// backend: a NaN planted in an Equation-4-prunable chunk is silently
 /// skipped with the default config and counted when the audit is on, with
-/// the **same** counts from the record store and the pile — the policy lives
-/// in the one shared audit hook, not per backend.
+/// the **same** counts from the in-memory sketch and the pile — the policy
+/// lives in the one shared audit hook, not per backend.
 #[test]
-fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
-    use tsubasa::storage::SegmentKind;
-
+fn pruned_chunk_nan_audit_is_identical_on_memory_and_pile() {
     let n = 6;
     let b = 25;
     // Engineer the Equation 4 bound (`s_i s_j + t_i t_j` with
@@ -130,46 +126,21 @@ fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
     let c = SeriesCollection::from_rows(rows).unwrap();
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
 
-    // Store with a NaN distance planted for the last pair in window 2.
-    let layout = ParallelEngine::layout_for(&c, b).unwrap();
-    let store = Arc::new(MemorySketchStore::new(layout));
-    let mut dists: Vec<Vec<f64>> = Vec::new();
-    for a in 0..n {
-        for bb in a + 1..n {
-            dists.push(dft.pair_distances(a, bb).unwrap().to_vec());
-        }
-    }
-    let planted_pair = dists.len() - 1; // pair (n-2, n-1)
-    dists[planted_pair][2] = f64::NAN;
-    persist_sketchset(&*store, dft.base(), Some(&dists)).unwrap();
-    let store_src: &dyn SketchStore = &*store;
+    // In-memory twin with a NaN distance planted for the last pair in
+    // window 2.
+    let n_pairs = n * (n - 1) / 2;
+    let planted_pair = n_pairs - 1; // pair (n-2, n-1)
+    let view = dft.window_dists_view(0..WINDOWS);
+    let mut dists: Vec<f64> = (0..WINDOWS)
+        .flat_map(|w| view.window_row(w).to_vec())
+        .collect();
+    dists[2 * n_pairs + planted_pair] = f64::NAN;
+    let memory = DftSketchSet::from_parts(dft.base().clone(), 8, dists).unwrap();
 
-    // Pile with the same NaN planted in the window-2 estimates row.
+    // Pile mirrored from the twin, carrying the same NaN estimate.
     let path = temp_path("pruned-nan");
     let mut writer = PileWriter::create(&path, n, b).unwrap();
-    let base = dft.base();
-    for w in 0..WINDOWS {
-        let mut stats_row = Vec::with_capacity(n * 3);
-        for i in 0..n {
-            let st = base.series_sketch(i).unwrap().window(w);
-            stats_row.extend_from_slice(&[st.len as f64, st.mean, st.std]);
-        }
-        writer.append(SegmentKind::SeriesStats, &stats_row).unwrap();
-        writer
-            .append(
-                SegmentKind::PairCorrs,
-                base.window_corrs_view(w..w + 1).window_row(0),
-            )
-            .unwrap();
-        let ests: Vec<f64> = dists
-            .iter()
-            .map(|d| {
-                let d = d[w];
-                1.0 - d * d / 2.0
-            })
-            .collect();
-        writer.append(SegmentKind::PairEsts, &ests).unwrap();
-    }
+    mirror_sketches_to_pile(&mut writer, Some(memory.base()), Some(&memory)).unwrap();
     let pile = writer.into_pile().unwrap();
 
     let theta = 0.9;
@@ -181,19 +152,19 @@ fn pruned_chunk_nan_audit_is_identical_on_store_and_pile() {
             sketch_method: SketchMethod::Dft { coefficients: 8 },
             audit_pruned_chunks: audit,
         });
-        let (e_store, _) = eng
-            .network(store_src, 0..WINDOWS, QueryMethod::Approximate, theta)
+        let (e_memory, _) = eng
+            .network(&memory, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         let (e_pile, _) = eng
             .network(&pile, 0..WINDOWS, QueryMethod::Approximate, theta)
             .unwrap();
         assert_eq!(
-            e_store.nan_pair_count(),
+            e_memory.nan_pair_count(),
             e_pile.nan_pair_count(),
-            "audit={audit}: store and pile must count identically"
+            "audit={audit}: memory and pile must count identically"
         );
-        assert_eq!(e_store.edges(), e_pile.edges(), "audit={audit}");
-        counts.push(e_store.nan_pair_count());
+        assert_eq!(e_memory.edges(), e_pile.edges(), "audit={audit}");
+        counts.push(e_memory.nan_pair_count());
     }
     // The planted chunk really was pruned: silent mode misses exactly the
     // planted pair, the audit observes it — and only the accounting differs.
@@ -209,21 +180,9 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
     let c = collection(n, b);
 
     // One in-memory dual sketch is the root of every backend, so the grid
-    // isolates the *serving* path: the store and pile carry the exact same
-    // window values the sketch does.
+    // isolates the *serving* path: the pile carries the exact same window
+    // values the sketch does.
     let dft = DftSketchSet::build(&c, b, 8, Transform::Naive).unwrap();
-
-    // Record store, with both method fields persisted.
-    let layout = ParallelEngine::layout_for(&c, b).unwrap();
-    let store = Arc::new(MemorySketchStore::new(layout));
-    let mut dists: Vec<Vec<f64>> = Vec::new();
-    for a in 0..n {
-        for bb in a + 1..n {
-            dists.push(dft.pair_distances(a, bb).unwrap().to_vec());
-        }
-    }
-    persist_sketchset(&*store, dft.base(), Some(&dists)).unwrap();
-    let store_src: &dyn SketchStore = &*store;
 
     // Mapped pile with correlation and estimate rows mirrored per window.
     let path = temp_path("grid");
@@ -271,14 +230,6 @@ fn all_backends_agree_bit_for_bit_across_the_grid() {
                     qm,
                     &reference,
                     &tag("memory"),
-                );
-                cases += assert_source_matches(
-                    &eng,
-                    store_src,
-                    windows.clone(),
-                    qm,
-                    &reference,
-                    &tag("store"),
                 );
                 cases += assert_source_matches(
                     &eng,
