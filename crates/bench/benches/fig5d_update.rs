@@ -7,8 +7,10 @@
 //! window size is swept.
 //!
 //! Expected shape (paper): TSUBASA is at least an order of magnitude faster,
-//! and the gap widens with B because the approximation must compute O(B²)
-//! DFT coefficients for every arriving basic window.
+//! and the gap widens with B because the approximation must compute its
+//! DFT coefficients for every arriving basic window: `O(B·n)` multiply-adds
+//! per series for `n = 3B/4` coefficients (planned direct transform,
+//! twiddles computed once), against Lemma 2's `O(B)` statistics.
 
 use tsubasa_bench::{fmt_ms, millis, scaled, time, Table};
 use tsubasa_core::prelude::*;

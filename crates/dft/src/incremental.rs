@@ -5,9 +5,11 @@
 //! [`tsubasa_core::incremental::SlidingNetwork`] but uses the DFT comparator:
 //! when a new basic window arrives it
 //!
-//! 1. normalizes the window of every series and computes its DFT coefficients
-//!    (the `O(B²)` step that makes this updater slower than TSUBASA's —
-//!    exactly the effect Figure 5d measures),
+//! 1. normalizes the window of every series and computes its first `n` DFT
+//!    coefficients through the sketch's transform plan
+//!    ([`DftPlanner::coefficients_into`]; twiddles computed once per plan,
+//!    still `O(B·n)` multiply-adds per series against TSUBASA's `O(B)`
+//!    statistics — the effect Figure 5d measures),
 //! 2. computes all pairwise coefficient distances `d_{ns+1}` of the arriving
 //!    window as one tiled difference-square sweep over a coefficient-major
 //!    structure-of-arrays block
@@ -23,6 +25,7 @@
 //! bootstrap.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use tsubasa_core::delta::{
     slide_pair_sweep, DeltaBoundTables, EdgeDelta, EdgeWatch, SlideSweepInputs,
@@ -37,9 +40,8 @@ use tsubasa_core::SketchSet;
 
 use crate::approx::corr_from_distance;
 use crate::dft::DftPlanner;
-use crate::normalize::normalize_unit_with_stats;
 use crate::plan::ApproxPlan;
-use crate::sketch::{flatten_coeffs_into, DftSketchSet};
+use crate::sketch::{DftSketchSet, Transform};
 
 /// Incrementally maintained approximate all-pair correlation matrix over a
 /// sliding real-time query window.
@@ -54,9 +56,11 @@ pub struct SlidingApproxNetwork {
     pair_windows: VecDeque<Vec<f64>>,
     /// Current packed per-pair approximate correlations.
     corrs: Vec<f64>,
-    /// Reusable transform plan for the arriving windows (radix-2 FFT for
-    /// power-of-two basic windows, naive fallback otherwise).
-    planner: DftPlanner,
+    /// The bootstrap sketch's transform and its plan, reused for every
+    /// arriving window so a tick computes exactly what rebuilding the sketch
+    /// over the extended data would.
+    transform: Transform,
+    plan: Arc<DftPlanner>,
     /// Active edge subscription
     /// ([`SlidingApproxNetwork::subscribe_edges`]): when set, every ingest
     /// also maintains the θ-thresholded edge set and emits an [`EdgeDelta`].
@@ -120,7 +124,8 @@ impl SlidingApproxNetwork {
             series,
             pair_windows,
             corrs,
-            planner: DftPlanner::new(b),
+            transform: sketch.transform(),
+            plan: Arc::clone(sketch.plan()),
             watch: None,
         })
     }
@@ -176,21 +181,19 @@ impl SlidingApproxNetwork {
         let n = self.n;
 
         // Per-series statistics of the arriving window, plus its DFT
-        // coefficients flattened into a coefficient-major structure-of-arrays
-        // block (one contiguous row per series)...
+        // coefficients written by the plan into a coefficient-major
+        // structure-of-arrays block (one contiguous row per series)...
         let arriving_stats: Vec<WindowStats> =
             chunk.iter().map(|p| WindowStats::from_values(p)).collect();
         let row_len = 2 * self.coefficients;
         let mut rows = vec![0.0f64; n * row_len];
-        for (i, (points, stats)) in chunk.iter().zip(&arriving_stats).enumerate() {
-            let coeffs = self
-                .planner
-                .transform(&normalize_unit_with_stats(points, stats));
-            flatten_coeffs_into(
-                &coeffs,
-                self.coefficients,
-                &mut rows[i * row_len..(i + 1) * row_len],
-            );
+        for ((points, stats), row) in chunk
+            .iter()
+            .zip(&arriving_stats)
+            .zip(rows.chunks_exact_mut(row_len))
+        {
+            self.plan
+                .coefficients_into(points, stats, self.coefficients, row);
         }
         // ...so all of the window's pair distances come from one tiled
         // difference-square sweep instead of a per-pair coefficient loop.
@@ -354,7 +357,13 @@ impl SlidingApproxNetwork {
         for row in &self.pair_windows {
             window_dists.extend_from_slice(row);
         }
-        DftSketchSet::from_parts(base, self.coefficients, window_dists)
+        DftSketchSet::from_planned_parts(
+            base,
+            self.coefficients,
+            window_dists,
+            self.transform,
+            Arc::clone(&self.plan),
+        )
     }
 }
 
@@ -451,6 +460,49 @@ mod tests {
         );
         for (_, _, c) in sliding.correlation_matrix().iter_pairs() {
             assert!((-1.0..=1.0).contains(&c));
+        }
+    }
+
+    /// A tick transforms the arriving window with the bootstrap sketch's
+    /// own transform, so the distances it appends are the ones a rebuild
+    /// over the extended data computes, bit for bit — at power-of-two basic
+    /// windows too, where the FFT and the direct DFT round differently.
+    #[test]
+    fn ticks_reproduce_a_rebuilt_sketch_bit_for_bit() {
+        let n = 8;
+        let ticks = 3;
+        for b in [48usize, 64] {
+            for transform in [Transform::Naive, Transform::Fft] {
+                let hist = 4 * b;
+                let data = full_data(n, hist + ticks * b);
+                let c =
+                    SeriesCollection::from_rows(data.iter().map(|s| s[..hist].to_vec()).collect())
+                        .unwrap();
+                let coeff = b * 3 / 4;
+                let sk = DftSketchSet::build(&c, b, coeff, transform).unwrap();
+                let mut sliding = SlidingApproxNetwork::initialize(&sk, 2 * b).unwrap();
+                for k in 0..ticks {
+                    let lo = hist + k * b;
+                    let chunk: Vec<Vec<f64>> =
+                        data.iter().map(|s| s[lo..lo + b].to_vec()).collect();
+                    sliding.ingest(&chunk).unwrap();
+                }
+                let snap = sliding.snapshot_sketch().unwrap();
+                assert_eq!(snap.transform(), transform);
+                let full = SeriesCollection::from_rows(data).unwrap();
+                let rebuilt = DftSketchSet::build(&full, b, coeff, transform).unwrap();
+                let bits = |sk: &DftSketchSet, w: usize| -> Vec<u64> {
+                    let view = sk.window_dists_view(w..w + 1);
+                    view.window_row(0).iter().map(|d| d.to_bits()).collect()
+                };
+                let (ns, total) = (snap.window_count(), rebuilt.window_count());
+                assert_eq!(
+                    bits(&snap, ns - 1),
+                    bits(&rebuilt, total - 1),
+                    "b={b} {transform:?}: newest window"
+                );
+                assert_eq!(bits(&snap, 0), bits(&rebuilt, total - ns));
+            }
         }
     }
 

@@ -11,7 +11,8 @@
 //! [`DftSketchSet::build`] evaluates the `N(N−1)/2` pair distances of each
 //! window as a batch kernel over a **coefficient-major structure-of-arrays
 //! layout**: the first `n` complex coefficients of every series' normalized
-//! window are flattened into one contiguous real row of `2n` values
+//! window are written by the sketch's [`DftPlanner::coefficients_into`],
+//! straight from the raw window, as one contiguous real row of `2n` values
 //! (`[re₀, im₀, re₁, im₁, …]`), after which every pair's squared coefficient
 //! distance is a cache-blocked difference-square sweep over contiguous rows
 //! ([`tsubasa_core::stats::tiled_pair_dist_sq_into`], the distance sibling of
@@ -22,6 +23,8 @@
 //! survives as [`DftSketchSet::build_reference`]; every accumulated term of
 //! the tiled sweep is non-negative, so the two agree far inside the `1e-10`
 //! tolerance contract pinned by `tests/approx_plan_agreement.rs`.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use tsubasa_core::capacity::check_dense_budget;
@@ -40,13 +43,26 @@ use crate::normalize::normalize_unit_with_stats;
 /// How the DFT coefficients of a basic window are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Transform {
-    /// Naive `O(B²)` DFT — the cost model assumed by the paper.
+    /// The direct DFT — the `O(B·n)` multiply-adds per window (`n` kept
+    /// coefficients) assumed by the paper's cost model — through a planned
+    /// [`DftPlanner::direct`]: the twiddles are computed once per plan, and
+    /// every coefficient is bit-identical to [`naive_dft`]'s.
     Naive,
-    /// Iterative radix-2 FFT through a reusable [`DftPlanner`] (bit-reversal
-    /// and twiddle tables built once per sketch, `O(B log B)` per window for
-    /// power-of-two `B`, naive fallback otherwise). Used by the `dft_vs_fft`
-    /// ablation and the parallel engine's comparator path.
+    /// Iterative radix-2 FFT through a reusable [`DftPlanner::new`]
+    /// (bit-reversal and twiddle tables built once per plan, `O(B log B)`
+    /// per window for power-of-two `B`, the direct DFT otherwise). Used by
+    /// the `dft_vs_fft` ablation.
     Fft,
+}
+
+impl Transform {
+    /// The plan this transform runs for windows of length `size`.
+    pub fn planner(self, size: usize) -> DftPlanner {
+        match self {
+            Transform::Naive => DftPlanner::direct(size),
+            Transform::Fft => DftPlanner::new(size),
+        }
+    }
 }
 
 /// The comparator's sketch: the core statistics plus per-pair per-window DFT
@@ -57,6 +73,13 @@ pub struct DftSketchSet {
     base: SketchSet,
     /// Number of DFT coefficients used when computing distances.
     coefficients: usize,
+    /// The transform every window of this sketch went through, and its plan
+    /// for `basic_window` (shared by clones): windows appended later —
+    /// [`DftSketchSet::push_window`], or a [`crate::SlidingApproxNetwork`]
+    /// ticking from this sketch — go through the same plan, so they stay
+    /// bit-equal to a rebuild.
+    transform: Transform,
+    plan: Arc<DftPlanner>,
     /// Packed per-pair vectors of per-window distances `d_j`.
     pair_distances: Vec<Vec<f64>>,
     /// Window-major copy of all pair distances (`ns × P`, row `w` holds `d_w`
@@ -67,17 +90,6 @@ pub struct DftSketchSet {
     window_dists: Vec<f64>,
 }
 
-/// Flatten the first `n_coeff` complex coefficients into a contiguous real
-/// row (`[re₀, im₀, re₁, im₁, …]`). The Euclidean distance of two such rows
-/// equals the complex coefficient distance: `|X_k − Y_k|² = Δre² + Δim²`.
-pub(crate) fn flatten_coeffs_into(coeffs: &[Complex], n_coeff: usize, row: &mut [f64]) {
-    debug_assert_eq!(row.len(), 2 * n_coeff);
-    for (k, c) in coeffs.iter().take(n_coeff).enumerate() {
-        row[2 * k] = c.re;
-        row[2 * k + 1] = c.im;
-    }
-}
-
 impl DftSketchSet {
     /// Sketch a collection for the DFT comparator: basic-window statistics,
     /// per-pair correlations (reused by Equation 5), normalized-window DFT
@@ -86,8 +98,9 @@ impl DftSketchSet {
     /// `coefficients` is the `n` of `Dist_n`; it is clamped to the basic
     /// window size.
     ///
-    /// Per window, the first `n` coefficients of every series are flattened
-    /// into a coefficient-major structure-of-arrays block and all pair
+    /// Per window, the first `n` coefficients of every series' normalized
+    /// window are written by one planned [`DftPlanner::coefficients_into`]
+    /// call into a coefficient-major structure-of-arrays block and all pair
     /// distances of the window are evaluated as one tiled difference-square
     /// sweep ([`tiled_pair_dist_sq_into`]); the coefficients themselves are
     /// transient (one window block is live at a time), matching the paper's
@@ -105,7 +118,7 @@ impl DftSketchSet {
         let n = collection.len();
         let n_pairs = n * n.saturating_sub(1) / 2;
 
-        let planner = DftPlanner::new(basic_window);
+        let plan = transform.planner(basic_window);
         let row_len = 2 * n_coeff;
         // Coefficient-major scratch: row `i` holds series `i`'s flattened
         // coefficients of the current window, contiguous. Reused per window.
@@ -115,13 +128,12 @@ impl DftSketchSet {
         for w in 0..ns {
             let span = base.windowing().window_span(w);
             for (id, series) in collection.iter_with_ids() {
-                let stats = base.series_sketch(id)?.window(w);
-                let normalized = normalize_unit_with_stats(span.slice(series.values()), &stats);
-                let c = match transform {
-                    Transform::Naive => naive_dft(&normalized),
-                    Transform::Fft => planner.transform(&normalized),
-                };
-                flatten_coeffs_into(&c, n_coeff, &mut rows[id * row_len..(id + 1) * row_len]);
+                plan.coefficients_into(
+                    span.slice(series.values()),
+                    &base.series_sketch(id)?.window(w),
+                    n_coeff,
+                    &mut rows[id * row_len..(id + 1) * row_len],
+                );
             }
             tiled_pair_dist_sq_into(&rows, n, row_len, &mut sq);
             for (slot, &s) in window_dists[w * n_pairs..(w + 1) * n_pairs]
@@ -136,6 +148,8 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
+            transform,
+            plan: Arc::new(plan),
             pair_distances,
             window_dists,
         })
@@ -144,10 +158,11 @@ impl DftSketchSet {
     /// The scalar reference sketch: identical shapes to
     /// [`DftSketchSet::build`], with every pair-window distance computed by
     /// the per-pair [`coefficient_distance`] pass over per-series coefficient
-    /// vectors. This path is the arithmetic yardstick the tiled sweep is
-    /// tested against (`tests/approx_plan_agreement.rs`); it is kept for that
-    /// role and for the `pr5_approx_kernels` speedup measurement, not for
-    /// speed.
+    /// vectors, transformed unplanned ([`naive_dft`]) under
+    /// [`Transform::Naive`]. This path is the arithmetic yardstick the tiled
+    /// sweep is tested against (`tests/approx_plan_agreement.rs`); it is kept
+    /// for that role and for the `pr5_approx_kernels` speedup measurement,
+    /// not for speed.
     pub fn build_reference(
         collection: &SeriesCollection,
         basic_window: usize,
@@ -161,7 +176,7 @@ impl DftSketchSet {
 
         // DFT coefficients of every normalized basic window of every series.
         let mut coeffs: Vec<Vec<Vec<Complex>>> = Vec::with_capacity(n);
-        let planner = DftPlanner::new(basic_window);
+        let plan = transform.planner(basic_window);
         for (id, series) in collection.iter_with_ids() {
             let sketch = base.series_sketch(id)?;
             let mut per_window = Vec::with_capacity(ns);
@@ -171,7 +186,7 @@ impl DftSketchSet {
                     normalize_unit_with_stats(span.slice(series.values()), &sketch.window(w));
                 let c = match transform {
                     Transform::Naive => naive_dft(&normalized),
-                    Transform::Fft => planner.transform(&normalized),
+                    Transform::Fft => plan.transform(&normalized),
                 };
                 per_window.push(c);
             }
@@ -191,6 +206,8 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
+            transform,
+            plan: Arc::new(plan),
             pair_distances,
             window_dists,
         })
@@ -202,12 +219,27 @@ impl DftSketchSet {
     /// pair-major layout is rebuilt from the flat table. Used by snapshot
     /// paths that maintain distances incrementally
     /// (`SlidingApproxNetwork::snapshot_sketch`) and by any epoch-publication
-    /// layer that freezes a growing comparator sketch.
+    /// layer that freezes a growing comparator sketch. The sketch records
+    /// [`Transform::Naive`] for the windows it appends later.
     pub fn from_parts(
         base: SketchSet,
         coefficients: usize,
         window_dists: Vec<f64>,
     ) -> Result<Self> {
+        let plan = Arc::new(Transform::Naive.planner(base.basic_window()));
+        Self::from_planned_parts(base, coefficients, window_dists, Transform::Naive, plan)
+    }
+
+    /// [`DftSketchSet::from_parts`] recording `transform`, whose plan for the
+    /// base sketch's basic window is `plan`.
+    pub(crate) fn from_planned_parts(
+        base: SketchSet,
+        coefficients: usize,
+        window_dists: Vec<f64>,
+        transform: Transform,
+        plan: Arc<DftPlanner>,
+    ) -> Result<Self> {
+        debug_assert_eq!(plan.size(), base.basic_window());
         let n = base.series_count();
         let n_pairs = n * n.saturating_sub(1) / 2;
         let ns = base.window_count();
@@ -225,6 +257,8 @@ impl DftSketchSet {
         Ok(Self {
             base,
             coefficients: n_coeff,
+            transform,
+            plan,
             pair_distances,
             window_dists,
         })
@@ -235,10 +269,11 @@ impl DftSketchSet {
     /// statistics, per-pair correlations (both into the core `base` sketch,
     /// through the same tiled `Z·Zᵀ` kernel as [`SketchSet::push_window`]'s
     /// callers), and per-pair DFT coefficient distances in both layouts.
-    /// This is the real-time ingestion path of the comparator; arithmetic is
+    /// This is the real-time ingestion path of the comparator; the window
+    /// goes through the sketch's own transform plan, so arithmetic is
     /// identical to rebuilding with [`DftSketchSet::build`] over the extended
-    /// data, so a grown sketch stays bit-equal to a rebuilt one.
-    pub fn push_window(&mut self, chunk: &[Vec<f64>], transform: Transform) -> Result<()> {
+    /// data and a grown sketch stays bit-equal to a rebuilt one.
+    pub fn push_window(&mut self, chunk: &[Vec<f64>]) -> Result<()> {
         let n = self.series_count();
         let b = self.basic_window();
         if chunk.len() != n {
@@ -273,22 +308,14 @@ impl DftSketchSet {
         tiled_pair_corrs_into(&z, n, b, &mut pair_corrs);
         drop(z);
 
-        // Comparator half: unit-normalized DFT coefficients, flattened
-        // coefficient-major, then one tiled difference-square sweep.
-        let planner = DftPlanner::new(b);
+        // Comparator half: unit-normalized DFT coefficients, written
+        // coefficient-major by the sketch's plan, then one tiled
+        // difference-square sweep.
         let row_len = 2 * self.coefficients;
         let mut rows = vec![0.0f64; n * row_len];
-        for (i, points) in chunk.iter().enumerate() {
-            let normalized = normalize_unit_with_stats(points, &stats[i]);
-            let c = match transform {
-                Transform::Naive => naive_dft(&normalized),
-                Transform::Fft => planner.transform(&normalized),
-            };
-            flatten_coeffs_into(
-                &c,
-                self.coefficients,
-                &mut rows[i * row_len..(i + 1) * row_len],
-            );
+        for ((points, st), row) in chunk.iter().zip(&stats).zip(rows.chunks_exact_mut(row_len)) {
+            self.plan
+                .coefficients_into(points, st, self.coefficients, row);
         }
         let mut sq = vec![0.0f64; n_pairs];
         tiled_pair_dist_sq_into(&rows, n, row_len, &mut sq);
@@ -310,6 +337,17 @@ impl DftSketchSet {
     /// Number of DFT coefficients the distances were computed with.
     pub fn coefficients(&self) -> usize {
         self.coefficients
+    }
+
+    /// The transform the sketched windows went through.
+    pub fn transform(&self) -> Transform {
+        self.transform
+    }
+
+    /// The transform plan for this sketch's basic window, shared with any
+    /// updater that appends windows to it.
+    pub(crate) fn plan(&self) -> &Arc<DftPlanner> {
+        &self.plan
     }
 
     /// Basic-window size.

@@ -29,8 +29,7 @@ use tsubasa_core::sweep::{CorrelationBounds, EdgeList, EdgeSink, TileSink, TopK,
 use tsubasa_core::window::BasicWindowing;
 use tsubasa_core::Job;
 use tsubasa_core::SeriesCollection;
-use tsubasa_dft::dft::{coefficient_distance, DftPlanner};
-use tsubasa_dft::normalize::normalize_unit_with_stats;
+use tsubasa_dft::dft::{interleaved_distance, DftPlanner};
 use tsubasa_storage::pile::{
     PileBatchWriter, PileSlab, PileWriter, SegmentKind, SketchPile, StoreLayout,
 };
@@ -149,7 +148,8 @@ impl ParallelEngine {
     /// timing breakdown (Figure 6a).
     ///
     /// A per-series pass computes the window statistics (one window-major
-    /// stats slab) and the z-normalized rows or DFT coefficients. The pair
+    /// stats slab) and the z-normalized rows or the kept DFT coefficients
+    /// (one planned `coefficients_into` row per window). The pair
     /// pass then proceeds one window at a time, with the computation workers
     /// filling disjoint carved slices of the full-width window row, which is
     /// streamed (in window order) to the database worker as one coalescable
@@ -196,17 +196,24 @@ impl ParallelEngine {
 
         // Per-series pass: window statistics (one window-major stats slab),
         // the window-major z-normalized copy of the data for the exact tiled
-        // kernel, and (for the DFT comparator) the coefficients of every
+        // kernel, and (for the DFT comparator) the kept coefficients of every
         // normalized window. All of it is shared read-only with the pair
         // workers below.
         let per_series_start = Instant::now();
-        let mut series_coeffs: Vec<Vec<Vec<tsubasa_dft::dft::Complex>>> = Vec::new();
         // z[(w·n + i)·B ..] is basic window `w` of series `i`, z-scored; a
         // pair's window correlation is then one dot product over two
         // contiguous rows instead of a centered cross-product over raw data.
         let mut z = vec![0.0f64; if exact { ns * n * bw } else { 0 }];
+        // coeffs[(w·n + i)·2c ..] holds the first `c` coefficients of basic
+        // window `w` of series `i`, interleaved `(re, im)` — only what
+        // `Dist_c` reads.
+        let dft = match self.config.sketch_method {
+            SketchMethod::Exact => None,
+            SketchMethod::Dft { coefficients } => Some((DftPlanner::new(bw), coefficients.min(bw))),
+        };
+        let row_len = dft.as_ref().map_or(0, |&(_, n_coeff)| 2 * n_coeff);
+        let mut coeffs = vec![0.0f64; ns * n * row_len];
         let mut stats_rows = vec![0.0f64; ns * n * 3];
-        let planner = DftPlanner::new(bw);
         for (id, series) in collection.iter_with_ids() {
             let values = series.values();
             let stats: Vec<WindowStats> = (0..ns)
@@ -218,21 +225,15 @@ impl ParallelEngine {
                 stats_rows[base + 1] = st.mean;
                 stats_rows[base + 2] = st.std;
             }
-            if exact {
-                for (w, st) in stats.iter().enumerate() {
-                    let span = windowing.window_span(w);
+            for (w, st) in stats.iter().enumerate() {
+                let span = windowing.window_span(w);
+                if let Some((planner, n_coeff)) = &dft {
+                    let row = &mut coeffs[(w * n + id) * row_len..(w * n + id + 1) * row_len];
+                    planner.coefficients_into(span.slice(values), st, *n_coeff, row);
+                } else {
                     let row = &mut z[(w * n + id) * bw..(w * n + id + 1) * bw];
                     normalize_into(span.slice(values), st, row);
                 }
-            }
-            if let SketchMethod::Dft { coefficients: _ } = self.config.sketch_method {
-                let coeffs = (0..ns)
-                    .map(|w| {
-                        let span = windowing.window_span(w);
-                        planner.transform(&normalize_unit_with_stats(span.slice(values), &stats[w]))
-                    })
-                    .collect();
-                series_coeffs.push(coeffs);
             }
         }
         compute_time += per_series_start.elapsed();
@@ -248,7 +249,7 @@ impl ParallelEngine {
         let pair_count: usize = partitions.iter().map(|p| p.len()).sum();
         let method = self.config.sketch_method;
         let z_ref = &z;
-        let coeffs_ref = &series_coeffs;
+        let coeffs_ref = &coeffs;
         for w in 0..ns {
             if pair_count == 0 {
                 break;
@@ -278,12 +279,12 @@ impl ParallelEngine {
                                         let zb = &z_ref[(w * n + b) * bw..(w * n + b + 1) * bw];
                                         normalized_dot_corr(za, zb)
                                     }
-                                    SketchMethod::Dft { coefficients } => {
-                                        let d = coefficient_distance(
-                                            &coeffs_ref[a][w],
-                                            &coeffs_ref[b][w],
-                                            coefficients,
-                                        );
+                                    SketchMethod::Dft { .. } => {
+                                        let row = |i: usize| {
+                                            &coeffs_ref
+                                                [(w * n + i) * row_len..(w * n + i + 1) * row_len]
+                                        };
+                                        let d = interleaved_distance(row(a), row(b));
                                         1.0 - d * d / 2.0
                                     }
                                 };

@@ -254,10 +254,7 @@ impl EpochStore {
 
 enum IngestSketch {
     Exact(SketchSet),
-    Dual {
-        sketch: DftSketchSet,
-        transform: Transform,
-    },
+    Dual(DftSketchSet),
     Pile(PileWriter),
 }
 
@@ -320,7 +317,7 @@ impl EpochIngest {
             Self {
                 store,
                 buffer: StreamBuffer::new(historical.len(), basic_window)?,
-                sketch: IngestSketch::Dual { sketch, transform },
+                sketch: IngestSketch::Dual(sketch),
             },
             first,
         ))
@@ -376,8 +373,8 @@ impl EpochIngest {
                     sketch.push_window(stats, corrs)?;
                     published.push(self.store.publish(Some(sketch.clone()), None)?);
                 }
-                IngestSketch::Dual { sketch, transform } => {
-                    sketch.push_window(&chunk, *transform)?;
+                IngestSketch::Dual(sketch) => {
+                    sketch.push_window(&chunk)?;
                     published.push(
                         self.store
                             .publish(Some(sketch.base().clone()), Some(sketch.clone()))?,
